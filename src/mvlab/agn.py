@@ -35,45 +35,50 @@ def _is_structural_zero(g: int, n: int) -> bool:
     return g < 0 or n < 0 or 2 * g - 2 + n <= 0
 
 
-_direct: dict[tuple[int, int], Fraction] = {}
+_direct: dict[tuple[int, int], Fraction] = dict(_BOUNDARY)
 
 
-def a_direct(g: int, n: int) -> Fraction:
-    """a_{g,n} by the binomial recursion in n.
-
-    Valid for every (g, n); out-of-domain pairs are zero by convention.
-    The recursion itself only reaches n >= 1, so the n = 0 column at
-    g >= 2 is delegated to the genus-series reconstruction (the one
-    spot where this path leans on another module; the alternating
-    recursion has the same blind spot).
-    """
-    if _is_structural_zero(g, n):
-        return Fraction(0)
-    if (g, n) in _BOUNDARY:
-        return _BOUNDARY[(g, n)]
-    key = (g, n)
-    if key in _direct:
-        return _direct[key]
-    if n == 0:
-        val = agn_from_series(g, 0)
-        _direct[key] = val
-        return val
+def _direct_cell(g: int, n: int) -> Fraction:
     denom = 4 * g - 4 + n
     quad = Fraction(0)
     for g1 in range(g + 1):
         g2 = g - g1
         for n1 in range(2, n + 2):
             n2 = n + 3 - n1
-            if n2 < 2:
-                continue
             if (g1, n1) == (0, 3) or (g2, n2) == (0, 3):
                 continue
             if _is_structural_zero(g1, n1) or _is_structural_zero(g2, n2):
                 continue
-            quad += comb(n - 1, n1 - 2) * a_direct(g1, n1) * a_direct(g2, n2)
-    val = (quad / 2 + Fraction(1, 12) * a_direct(g - 1, n + 3)) / denom
-    _direct[key] = val
-    return val
+            quad += comb(n - 1, n1 - 2) * _direct[(g1, n1)] * _direct[(g2, n2)]
+    top = _direct[(g - 1, n + 3)] if g else 0
+    return (quad / 2 + Fraction(1, 12) * top) / denom
+
+
+def a_direct(g: int, n: int) -> Fraction:
+    """a_{g,n} by the binomial recursion in n.
+
+    Valid for every (g, n); out-of-domain pairs are zero by convention.
+    Cells are filled bottom-up and the recursion never reaches n = 0,
+    so the n = 0 column at g >= 2 is delegated to the genus-series
+    reconstruction (the one spot where this path leans on another
+    module; the alternating recursion has the same blind spot).
+    """
+    if _is_structural_zero(g, n):
+        return Fraction(0)
+    key = (g, n)
+    if key not in _direct:
+        if n == 0:
+            _direct[key] = agn_from_series(g, 0)
+        else:
+            # Fill bottom-up: the cell (g, n) pulls in (g', n') with
+            # g' <= g and 2 <= n' <= n + 3*(g - g').
+            for gg in range(g + 1):
+                for nn in range(2, n + 3 * (g - gg) + 1):
+                    if (gg, nn) not in _direct and not _is_structural_zero(gg, nn):
+                        _direct[(gg, nn)] = _direct_cell(gg, nn)
+            if key not in _direct:  # n = 1 lies below the filled range
+                _direct[key] = _direct_cell(g, n)
+    return _direct[key]
 
 
 _alt: dict[tuple[int, int], Fraction] = {}

@@ -75,6 +75,8 @@ def _case(name: str, got, want) -> VerifyCase:
 
 
 def _suite_table1(gmax) -> list[VerifyCase]:
+    if gmax is not None:
+        raise ValueError("suite 'table1' checks the fixed window g <= 4, n <= 6 and takes no gmax")
     table = build_table(4, 6, "direct")
     return [
         _case(f"a({g},{n})", table.value(g, n), GOLDEN_TABLE1[(g, n)])

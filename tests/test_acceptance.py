@@ -200,13 +200,6 @@ def test_criterion_08_extrapolator_oracle():
 
 
 def test_criterion_09_large_n_scaling():
-    # warm the g <= 2 memo in increasing n so recursion stays shallow
-    for nn in range(3, 407):
-        a_direct(0, nn)
-    for nn in range(1, 404):
-        a_direct(1, nn)
-    for nn in range(0, 401):
-        a_direct(2, nn)
     k2 = kappa(2)
 
     def dev(n: int) -> Fraction:

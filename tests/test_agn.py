@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import mvlab
 
 from mvlab.agn import (
     TableFormatError,
@@ -122,3 +128,20 @@ def test_zero_entries_serialize_explicitly(tmp_path):
     body = path.read_text().splitlines()[1:]
     assert "1\t0\t0/1" in body
     assert load_table(path).entries[(1, 0)] == Fraction(0)
+
+
+def test_cold_direct_fill_needs_no_recursion_depth():
+    # A fresh interpreter with a tight recursion limit: a deep cold cell
+    # must fill bottom-up instead of recursing once per n.
+    code = (
+        "import sys\n"
+        "from mvlab.agn import a_direct\n"
+        "sys.setrecursionlimit(150)\n"
+        "print(a_direct(0, 300) > 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

@@ -93,6 +93,13 @@ def test_verify_suite_passes(capsys):
     assert "35/35 entries match" in out
 
 
+def test_verify_table1_rejects_gmax(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "table1", "--gmax", "99")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
