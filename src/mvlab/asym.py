@@ -139,6 +139,8 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     top 2K (when available), and error bars come from sliding the
     square window down by up to 5 samples.
     """
+    if K < 0:
+        raise ValueError(f"fit order K must be nonnegative, got {K}")
     with mp.workprec(precision_bits):
         pts = sorted(((int(g), _sample_value(v)) for g, v in samples), key=lambda t: t[0])
         if len({g for g, _ in pts}) != len(pts):
@@ -178,6 +180,15 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     )
 
 
+def _check_room(gmax: int, K: int) -> None:
+    # Reject before any sample is computed: a bad K would otherwise be
+    # found only after the genus tower up to gmax is built.
+    if K < 0:
+        raise ValueError(f"fit order K must be nonnegative, got {K}")
+    if gmax < 2 * K + 10:
+        raise ValueError("gmax must be at least 2K + 10")
+
+
 def _sample_genera(gmax: int, K: int) -> range:
     lo = gmax - max(K + 6, 2 * K)
     return range(max(2, lo), gmax + 1)
@@ -185,8 +196,7 @@ def _sample_genera(gmax: int, K: int) -> range:
 
 def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the normalized-volume expansion at fixed n."""
-    if gmax < 2 * K + 10:
-        raise ValueError("gmax must be at least 2K + 10")
+    _check_room(gmax, K)
     samples = [
         (g, normalize_vol(g, n, _a_series(g, n), precision_bits))
         for g in _sample_genera(gmax, K)
@@ -196,8 +206,7 @@ def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
 
 def estimate_C(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the area-constant expansion at fixed n."""
-    if gmax < 2 * K + 10:
-        raise ValueError("gmax must be at least 2K + 10")
+    _check_room(gmax, K)
     samples = []
     with mp.workprec(precision_bits):
         for g in _sample_genera(gmax, K):

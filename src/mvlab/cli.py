@@ -20,7 +20,7 @@ import mpmath as mp
 
 from .agn import TableFormatError, build_table, load_table, save_table
 from .asym import compare_report
-from .genus import coeffs_C
+from .genus import SupportError, coeffs_C
 from .verify import run_suite
 from .volumes import PiScaled, sv_constant, volume
 
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, TableFormatError, OSError) as exc:
+    except (ValueError, TableFormatError, SupportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from typing import Iterable, Mapping
 
 from mpmath import mpf, workprec
@@ -163,6 +163,13 @@ class LaurentT:
     def __hash__(self) -> int:
         return hash(frozenset(self._c.items()))
 
+    @staticmethod
+    def _of(clean: dict[int, Fraction]) -> "LaurentT":
+        """Wrap a dict that already holds only nonzero Fractions."""
+        res = LaurentT.__new__(LaurentT)
+        object.__setattr__(res, "_c", clean)
+        return res
+
     def __add__(self, other: "LaurentT") -> "LaurentT":
         out = dict(self._c)
         for e, c in other._c.items():
@@ -171,9 +178,7 @@ class LaurentT:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentT.__new__(LaurentT)
-        object.__setattr__(res, "_c", out)
-        return res
+        return LaurentT._of(out)
 
     def __sub__(self, other: "LaurentT") -> "LaurentT":
         return self + (-other)
@@ -181,27 +186,31 @@ class LaurentT:
     def __neg__(self) -> "LaurentT":
         return self.scale(-1)
 
+    def _scaled_numerators(self) -> tuple[int, list[tuple[int, int]]]:
+        """(d, [(e, c*d)]) with d the lcm of the coefficient denominators."""
+        d = 1
+        for c in self._c.values():
+            d = lcm(d, c.denominator)
+        return d, [(e, c.numerator * (d // c.denominator)) for e, c in self._c.items()]
+
     def __mul__(self, other: "LaurentT") -> "LaurentT":
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
+        # An integer convolution over one shared denominator: no Fraction
+        # arithmetic and no gcd per pair of terms, one per output exponent.
+        da, left = self._scaled_numerators()
+        db, right = other._scaled_numerators()
+        acc: dict[int, int] = {}
+        for e1, n1 in left:
+            for e2, n2 in right:
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = LaurentT.__new__(LaurentT)
-        object.__setattr__(res, "_c", out)
-        return res
+                acc[e] = acc.get(e, 0) + n1 * n2
+        den = da * db
+        return LaurentT._of({e: Fraction(v, den) for e, v in acc.items() if v})
 
     def scale(self, q: Fraction | int) -> "LaurentT":
         q = Fraction(q)
         if q == 0:
             return LaurentT.zero()
-        res = LaurentT.__new__(LaurentT)
-        object.__setattr__(res, "_c", {e: c * q for e, c in self._c.items()})
-        return res
+        return LaurentT._of({e: c * q for e, c in self._c.items()})
 
     def eval_at_one(self) -> Fraction:
         """Value at T = 1, i.e. at x = 0."""
@@ -219,18 +228,20 @@ class LaurentT:
 
 
 def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
-    """Apply the derivation D_T = d/dx k times: D_T(T^e) = -e*T^(e-2)."""
+    """Apply the derivation D_T = d/dx k times: D_T(T^e) = -e*T^(e-2).
+
+    One pass: D_T^k(T^e) = (-1)^k * e(e-2)...(e-2k+2) * T^(e-2k), which
+    vanishes exactly for even 0 <= e <= 2k-2.
+    """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    cur = {e: c for e, c in p.items()}
-    for _ in range(k):
-        nxt: dict[int, Fraction] = {}
-        for e, c in cur.items():
-            if e == 0:
-                continue
-            nxt[e - 2] = nxt.get(e - 2, Fraction(0)) - e * c
-        cur = {e: c for e, c in nxt.items() if c != 0}
-    return LaurentT(cur)
+    sign = -1 if k % 2 else 1
+    out: dict[int, Fraction] = {}
+    for e, c in p.items():
+        f = prod(range(e, e - 2 * k, -2))
+        if f:
+            out[e - 2 * k] = c * (sign * f)
+    return LaurentT._of(out)
 
 
 @dataclass(frozen=True)
@@ -244,17 +255,19 @@ class GenusBlock:
     laurent: LaurentT
 
     def ddx(self) -> "GenusBlock":
-        # d/dx log(1/T) = 1/T^2, so the log part feeds the Laurent part.
-        lau = laurent_dt(self.laurent)
-        if self.log_coeff:
-            lau = lau + LaurentT.monomial(-2, self.log_coeff)
-        return GenusBlock(Fraction(0), lau)
+        return self.ddx_n(1)
 
     def ddx_n(self, k: int) -> "GenusBlock":
-        out = self
-        for _ in range(k):
-            out = out.ddx()
-        return out
+        """Apply d/dx k times in one pass; the result has no log part."""
+        if k < 0:
+            raise ValueError("derivative order must be nonnegative")
+        if k == 0:
+            return self
+        lau = laurent_dt(self.laurent, k)
+        if self.log_coeff:
+            # d/dx log(1/T) = T^-2, so the log part feeds D^(k-1) T^-2.
+            lau = lau + laurent_dt(LaurentT.monomial(-2, self.log_coeff), k - 1)
+        return GenusBlock(Fraction(0), lau)
 
     def __add__(self, other: "GenusBlock") -> "GenusBlock":
         return GenusBlock(self.log_coeff + other.log_coeff, self.laurent + other.laurent)

@@ -97,6 +97,10 @@ def _suite_paths(gmax) -> list[VerifyCase]:
 
 def _suite_funceq(gmax) -> list[VerifyCase]:
     gmax = 4 if gmax is None else gmax
+    if gmax < 1:
+        # The seeded cell a(1,1) enters at eps^0, outside the window
+        # b <= 2*gmax - 2, so its detection could not be checked.
+        raise ValueError(f"suite 'funceq' needs gmax >= 1, got {gmax}")
     clean = verify_functional_eqs(8, gmax)
     poisoned = verify_functional_eqs(
         8, gmax, overrides={(1, 1): Fraction(1, 11)}
@@ -159,4 +163,8 @@ SUITES = {
 def run_suite(name: str, gmax: int | None = None) -> VerifyResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {sorted(SUITES)}")
-    return VerifyResult(name, tuple(SUITES[name](gmax)))
+    cases = tuple(SUITES[name](gmax))
+    if not cases:
+        # An empty suite would report "0/0 entries match" and pass.
+        raise ValueError(f"suite {name!r} has no cases at gmax {gmax}")
+    return VerifyResult(name, cases)

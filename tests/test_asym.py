@@ -105,6 +105,11 @@ def test_richardson_input_errors():
         richardson_fit([(20, 1), (20, 2), (21, 3)], 1)
     with pytest.raises(ValueError):
         richardson_fit([(20, 1), (21, 2)], 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        richardson_fit([(20, 1), (21, 2)], -1)
+    for estimate in (estimate_m, estimate_C):
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate(0, 20, -1)
 
 
 def test_estimate_requires_room():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from mvlab import genus
 from mvlab.cli import main, resolve_cache_dir
+from mvlab.exact import LaurentT
 
 
 def run(capsys, *argv):
@@ -98,6 +100,50 @@ def test_verify_table1_rejects_gmax(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _one_error_line(code, out, err):
+    return code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite,gmax,phrase", [
+    ("lambda", "1", "no cases"),
+    ("iz", "1", "no cases"),
+    ("paths", "-1", "no cases"),
+    ("closed", "0", "no cases"),
+    ("funceq", "0", "needs gmax >= 1"),
+])
+def test_verify_rejects_gmax_without_cases(capsys, suite, gmax, phrase):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--gmax", gmax)
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert phrase in err
+
+
+@pytest.mark.parametrize("suite", ["lambda", "iz"])
+def test_verify_genus_suites_count_cases(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--gmax", "36")
+    assert code == 0
+    assert out == "35/35 entries match\n"
+
+
+def test_asym_rejects_negative_order(capsys):
+    code, out, err = run(capsys, "asym", "--order", "-1", "--gmax", "20")
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert "nonnegative" in err
+
+
+def test_support_error_reports_one_line(capsys, monkeypatch):
+    # Remove one interior coefficient of u^[3] through its tu input, so
+    # that the recomputed profile fails the exact-support check.
+    g = 3
+    tower = [genus.tilde_u(h) for h in range(g + 1)]
+    hole = -(5 * g - 2)
+    tower[g] = tower[g] - LaurentT.monomial(hole, genus.u_from_tilde(g).coeff(hole))
+    monkeypatch.setattr(genus, "_tilde", tower)
+    monkeypatch.setattr(genus, "_u_tilde_path", {})
+    code, out, err = run(capsys, "genus", "--g", str(g))
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert "is not exactly" in err
 
 
 def test_verify_unknown_suite(capsys):

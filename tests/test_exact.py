@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mvlab.exact import (
     BigFloat,
     GaussianRat,
+    GenusBlock,
     LaurentT,
     bernoulli,
     double_factorial,
@@ -86,6 +87,105 @@ def test_laurent_dt_monomial():
     p = LaurentT.monomial(5, Fraction(3))
     assert laurent_dt(p) == LaurentT.monomial(3, Fraction(-15))
     assert laurent_dt(LaurentT.monomial(0)) == LaurentT.zero()
+
+
+def _dt_once(p):
+    # The defining single step D_T(T^e) = -e*T^(e-2), term by term.
+    out = {}
+    for e, c in p.items():
+        out[e - 2] = out.get(e - 2, 0) - e * c
+    return LaurentT(out)
+
+
+def _mul_reference(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return LaurentT(out)
+
+
+def _no_stored_zero(p):
+    return all(c != 0 for _, c in p.items())
+
+
+@st.composite
+def low_laurents(draw):
+    # Small nonnegative even exponents are the ones that vanish under D_T^k.
+    pairs = draw(st.dictionaries(st.integers(-6, 18), rationals, max_size=8))
+    return LaurentT({e: c for e, c in pairs.items() if c != 0})
+
+
+@given(low_laurents(), st.integers(min_value=0, max_value=8))
+@settings(max_examples=80)
+def test_laurent_dt_power_is_repeated_step(p, k):
+    stepped = p
+    for _ in range(k):
+        stepped = _dt_once(stepped)
+    once = p
+    for _ in range(k):
+        once = laurent_dt(once)
+    got = laurent_dt(p, k)
+    assert got == stepped == once
+    assert _no_stored_zero(got)
+
+
+def test_laurent_dt_power_drops_terms_mid_way():
+    # Every exponent 0..16 at once: T^0..T^(2k-2) with even exponent die
+    # at some step before the last, the others survive all k steps.
+    p = LaurentT({e: Fraction(e + 1, 3) for e in range(17)})
+    for k in range(9):
+        stepped = p
+        for _ in range(k):
+            stepped = _dt_once(stepped)
+        got = laurent_dt(p, k)
+        assert got == stepped
+        dropped = {e for e in range(0, 2 * k - 1, 2)}
+        assert got.support() == sorted(e - 2 * k for e in range(17) if e not in dropped)
+    with pytest.raises(ValueError):
+        laurent_dt(p, -1)
+
+
+@given(laurents(), laurents())
+@settings(max_examples=80)
+def test_laurent_mul_matches_reference(p, q):
+    got = p * q
+    assert got == _mul_reference(p, q)
+    assert _no_stored_zero(got)
+
+
+def test_laurent_mul_edge_cases():
+    one_plus = LaurentT({0: 1, 1: 1})
+    one_minus = LaurentT({0: 1, 1: -1})
+    prod = one_plus * one_minus
+    assert prod == LaurentT({0: 1, 2: -1})
+    assert prod.support() == [0, 2] and _no_stored_zero(prod)
+    assert one_plus * LaurentT.zero() == LaurentT.zero()
+    assert LaurentT.zero() * one_plus == LaurentT.zero()
+    halves = LaurentT({-1: Fraction(1, 6), 3: Fraction(-5, 4)})
+    thirds = LaurentT({2: Fraction(3, 10), 6: Fraction(2, 9)})
+    assert halves * thirds == _mul_reference(halves, thirds)
+    # A shared denominator must not leak into the stored coefficients.
+    assert (halves * thirds).coeff(1) == Fraction(1, 20)
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
+       low_laurents(), st.integers(min_value=0, max_value=8))
+@settings(max_examples=60)
+def test_genus_block_ddx_n_is_repeated_ddx(log_coeff, lau, k):
+    block = GenusBlock(log_coeff, lau)
+    stepped = block
+    for _ in range(k):
+        stepped = stepped.ddx()
+    reference = block
+    for _ in range(k):
+        # d/dx log(1/T) = T^-2 feeds the Laurent part on the first step.
+        extra = LaurentT.monomial(-2, reference.log_coeff)
+        reference = GenusBlock(Fraction(0), _dt_once(reference.laurent) + extra)
+    got = block.ddx_n(k)
+    assert got == stepped == reference
+    if k:
+        assert got.log_coeff == 0
 
 
 def test_laurent_immutable():
