@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
+from .exact import fraction_sum
 from .genus import agn_from_series
 
 __all__ = [
@@ -39,8 +40,10 @@ _direct: dict[tuple[int, int], Fraction] = dict(_BOUNDARY)
 
 
 def _direct_cell(g: int, n: int) -> Fraction:
+    # quad/2 + top/12 over 4g-4+n, summed as integer pairs
+    # (numerator product, denominator product) over one shared denominator.
     denom = 4 * g - 4 + n
-    quad = Fraction(0)
+    terms = []
     for g1 in range(g + 1):
         g2 = g - g1
         for n1 in range(2, n + 2):
@@ -49,9 +52,15 @@ def _direct_cell(g: int, n: int) -> Fraction:
                 continue
             if _is_structural_zero(g1, n1) or _is_structural_zero(g2, n2):
                 continue
-            quad += comb(n - 1, n1 - 2) * _direct[(g1, n1)] * _direct[(g2, n2)]
-    top = _direct[(g - 1, n + 3)] if g else 0
-    return (quad / 2 + Fraction(1, 12) * top) / denom
+            a1, a2 = _direct[(g1, n1)], _direct[(g2, n2)]
+            terms.append((
+                comb(n - 1, n1 - 2) * a1.numerator * a2.numerator,
+                2 * denom * a1.denominator * a2.denominator,
+            ))
+    if g:
+        top = _direct[(g - 1, n + 3)]
+        terms.append((top.numerator, 12 * denom * top.denominator))
+    return fraction_sum(terms)
 
 
 def a_direct(g: int, n: int) -> Fraction:
@@ -101,12 +110,6 @@ def _weven(j: int) -> Fraction:
     return _w_even[j]
 
 
-def _alt_lookup(g: int, n: int) -> Fraction:
-    if _is_structural_zero(g, n):
-        return Fraction(0)
-    return _alt[(g, n)]
-
-
 def _alt_P_at(gam: int, nu: int, skip_head: bool) -> Fraction:
     """Convolution kernel P_{gam,nu} = (1/nu!) sum_j w_j a_{gam-j, nu+2j+2}.
 
@@ -117,31 +120,43 @@ def _alt_P_at(gam: int, nu: int, skip_head: bool) -> Fraction:
     """
     if not skip_head and (gam, nu) in _alt_P:
         return _alt_P[(gam, nu)]
-    tot = Fraction(0)
+    nu_fact = factorial(nu)
+    terms = []
     for j in range(1 if skip_head else 0, gam + 1):
-        tot += _wodd(j) * _alt_lookup(gam - j, nu + 2 * j + 2)
-    tot /= factorial(nu)
+        if _is_structural_zero(gam - j, nu + 2 * j + 2):
+            continue
+        w, a = _wodd(j), _alt[(gam - j, nu + 2 * j + 2)]
+        terms.append((w.numerator * a.numerator, nu_fact * w.denominator * a.denominator))
+    tot = fraction_sum(terms)
     if not skip_head:
         _alt_P[(gam, nu)] = tot
     return tot
 
 
 def _alt_cell(g: int, n: int) -> Fraction:
+    # (q!/2) * conv(P, P) - sum_j w_j a_{g-j, q+2j+2}, plus 1 at (0, 3),
+    # summed as integer pairs over one shared denominator.
     q = n - 2
-    conv = Fraction(0)
+    q_fact = factorial(q)
+    terms = []
     for g1 in range(g + 1):
         for nu1 in range(q + 1):
             left = _alt_P_at(g1, nu1, skip_head=(g1, nu1) == (g, q))
-            if left == 0:
+            if not left:
                 continue
             right = _alt_P_at(g - g1, q - nu1, skip_head=(g - g1, q - nu1) == (g, q))
-            conv += left * right
-    val = Fraction(factorial(q), 2) * conv
+            terms.append((
+                q_fact * left.numerator * right.numerator,
+                2 * left.denominator * right.denominator,
+            ))
     for j in range(1, g + 1):
-        val -= _weven(j) * _alt_lookup(g - j, q + 2 * j + 2)
+        if _is_structural_zero(g - j, q + 2 * j + 2):
+            continue
+        w, a = _weven(j), _alt[(g - j, q + 2 * j + 2)]
+        terms.append((-w.numerator * a.numerator, w.denominator * a.denominator))
     if q == 1 and g == 0:
-        val += 1
-    return val
+        terms.append((1, 1))
+    return fraction_sum(terms)
 
 
 def a_alt(g: int, n: int) -> Fraction:

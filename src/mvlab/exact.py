@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Iterable, Mapping
 
 from mpmath import mpf, workprec
@@ -21,6 +21,7 @@ __all__ = [
     "bernoulli",
     "double_factorial",
     "pochhammer",
+    "fraction_sum",
     "GaussianRat",
     "LaurentT",
     "laurent_dt",
@@ -75,6 +76,26 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     for i in range(n):
         out *= a + i
     return out
+
+
+def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of num/den over the integer pairs (num, den), den > 0.
+
+    The numerators are summed as ints over one running common
+    denominator: no Fraction per term, and a gcd only when a term's
+    denominator does not divide the running one. One Fraction is built
+    at the end.
+    """
+    num, den = 0, 1
+    for n, d in terms:
+        q, r = divmod(den, d)
+        if r:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+        else:
+            num += n * q
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .exact import (
     GenusBlock,
     LaurentT,
     bernoulli,
     double_factorial,
+    fraction_sum,
     laurent_dt,
-    pochhammer,
 )
 
 __all__ = [
@@ -201,7 +201,8 @@ def agn_from_series(g: int, n: int) -> Fraction:
     """a_{g,n} rebuilt from genus data, no table recursion involved.
 
     Genus 0 and 1 come from derivatives of the closed genus blocks;
-    genus >= 2 uses 2^n * sum_j C_{g,j} * rising((5g-5-j)/2, n).
+    genus >= 2 uses 2^n * sum_j C_{g,j} * rising((5g-5-j)/2, n), where
+    2^n * rising(m/2, n) = m(m+2)...(m+2n-2) is an integer.
     """
     if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         return Fraction(0)
@@ -209,11 +210,11 @@ def agn_from_series(g: int, n: int) -> Fraction:
         return Fraction(double_factorial(2 * n - 7)) if n >= 3 else Fraction(0)
     if g == 1:
         return Fraction(2 ** (n - 1) * factorial(n - 1) + double_factorial(2 * n - 3), 24)
-    C = coeffs_C(g).C
-    tot = Fraction(0)
-    for j in range(g + 1):
-        tot += C[j] * pochhammer(Fraction(5 * g - 5 - j, 2), n)
-    return 2**n * tot
+    terms = []
+    for j, c in enumerate(coeffs_C(g).C):
+        m = 5 * g - 5 - j
+        terms.append((c.numerator * prod(range(m, m + 2 * n, 2)), c.denominator))
+    return fraction_sum(terms)
 
 
 def closed_H(g: int) -> GenusBlock:

@@ -51,14 +51,18 @@ class PiScaled:
         return f"{self.coeff} * pi^{power}"
 
 
+def _check_stratum(g: int, n: int) -> None:
+    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError(f"no stratum for (g, n) = ({g}, {n})")
+
+
 def volume(g: int, n: int) -> PiScaled:
     """Total mass of the (g, n) stratum in its standard normalization.
 
-    Requires 2g - 2 + n > 0. The (0, 3) case sits outside the general
-    factorial expression and is the constant 4.
+    Requires g >= 0, n >= 0 and 2g - 2 + n > 0. The (0, 3) case sits
+    outside the general factorial expression and is the constant 4.
     """
-    if 2 * g - 2 + n <= 0:
-        raise ValueError(f"no stratum for (g, n) = ({g}, {n})")
+    _check_stratum(g, n)
     if (g, n) == (0, 3):
         return PiScaled(Fraction(4), 0)
     coeff = (
@@ -145,10 +149,11 @@ def kappa(g: int) -> PiScaled:
 def sv_constant(g: int, n: int, a_source=a_direct) -> PiScaled:
     """Area Siegel-Veech constant of the (g, n) stratum, a multiple of pi^-2.
 
-    Combines neighboring table entries; undefined when a_{g,n} = 0.
+    Defined on the same (g, n) as volume; undefined when a_{g,n} = 0.
     a_source lets callers swap in another exact evaluation of the same
     table (the asymptotics runs use the series fast path).
     """
+    _check_stratum(g, n)
     a = a_source(g, n)
     if a == 0:
         raise ValueError(f"a_({g},{n}) vanishes; no area constant")

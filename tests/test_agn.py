@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from mvlab.agn import (
     load_table,
     save_table,
 )
+from mvlab.exact import double_factorial
 from mvlab.genus import agn_from_series
 from mvlab.verify import GOLDEN_TABLE1
 
@@ -65,6 +67,36 @@ def test_build_table_methods_agree():
     t3 = build_table(3, 5, "series")
     assert t1.entries == t2.entries == t3.entries
     assert t1.method_tag == "direct" and t2.method_tag == "alt"
+
+
+def test_routes_match_closed_forms_at_wide_n():
+    # Closed forms that use neither recursion: a shared-kernel bug that
+    # both routes repeat would still disagree with these.
+    for n in range(3, 61):
+        want = double_factorial(2 * n - 7)
+        assert a_direct(0, n) == want and a_alt(0, n) == want, n
+    for n in range(1, 61):
+        want = Fraction(2 ** (n - 1) * math.factorial(n - 1) + double_factorial(2 * n - 3), 24)
+        assert a_direct(1, n) == want, n
+        if n >= 2:
+            assert a_alt(1, n) == want, n
+
+
+def test_cold_process_routes_write_identical_tables(tmp_path):
+    # One fresh interpreter per route, so no memo is shared between them.
+    env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
+    blobs = {}
+    for method in ("direct", "alt", "series"):
+        out = tmp_path / f"{method}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvlab.cli", "table", "--gmax", "6", "--nmax", "30",
+             "--method", method, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", (method, proc.stderr)
+        blobs[method] = out.read_bytes()
+    assert blobs["direct"].count(b"\n") == 1 + 7 * 31
+    assert blobs["direct"] == blobs["alt"] == blobs["series"]
 
 
 def test_build_table_rejects_unknown_method():

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvlab import genus
 from mvlab.cli import main, resolve_cache_dir
@@ -208,3 +212,44 @@ def test_error_reports_on_stderr(capsys):
 def test_agn_structural_zero(capsys):
     code, out, _ = run(capsys, "agn", "--g", "1", "--n", "0")
     assert (code, out) == (0, "0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("volume", "--g", "-1", "--n", "8"),
+    ("volume", "--g", "2", "--n", "-1"),
+    ("volume", "--g", "-2", "--n", "11"),
+    ("sv", "--g", "2", "--n", "-1"),
+    ("sv", "--g", "-1", "--n", "8"),
+])
+def test_negative_indices_have_no_stratum(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert "no stratum" in err
+
+
+_POINT_COMMANDS = [
+    ("agn", "--method", "direct"),
+    ("agn", "--method", "alt"),
+    ("agn", "--method", "series"),
+    ("volume",),
+    ("sv",),
+    ("genus",),
+]
+
+
+@given(st.sampled_from(_POINT_COMMANDS), st.integers(-3, 6), st.integers(-3, 9))
+@settings(max_examples=200, deadline=None)
+def test_point_commands_compute_or_reject_in_one_line(command, g, n):
+    argv = [*command, "--g", str(g)]
+    if command[0] != "genus":
+        argv += ["--n", str(n)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and out, (argv, out, err)
+        if command[0] in ("volume", "sv"):
+            assert g >= 0 and n >= 0, argv
+    else:
+        assert _one_error_line(code, out, err), (argv, code, out, err)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvlab.exact import (
@@ -13,6 +13,7 @@ from mvlab.exact import (
     LaurentT,
     bernoulli,
     double_factorial,
+    fraction_sum,
     laurent_dt,
     pochhammer,
     rat_to_bigfloat,
@@ -59,6 +60,47 @@ def test_pochhammer():
     assert pochhammer(Fraction(3), 0) == 1
     assert pochhammer(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
     assert pochhammer(Fraction(-2), 4) == 0
+
+
+# Small denominators make the running denominator divide often; the
+# 100..130-bit ones make it grow and force the gcd branch.
+sum_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=-(2**140), max_value=2**140),
+        st.one_of(st.integers(1, 60), st.integers(2**100, 2**130)),
+    ),
+    max_size=12,
+)
+
+
+def _sum_reference(terms):
+    return sum((Fraction(n, d) for n, d in terms), Fraction(0))
+
+
+@given(sum_terms)
+@example([])
+@example([(0, 7), (0, 2**101 + 1)])
+@example([(3, 2**107), (-5, 6), (2, 2**107 + 3)])
+@settings(max_examples=150)
+def test_fraction_sum_matches_reference(terms):
+    want = _sum_reference(terms)
+    got = fraction_sum(terms)
+    assert type(got) is Fraction and got == want
+    # A generator is consumed in one pass.
+    assert fraction_sum(t for t in terms) == want
+    # Appending every term negated, in reverse order, cancels to 0.
+    zero = fraction_sum(terms + [(-n, d) for n, d in reversed(terms)])
+    assert zero == 0 and zero.denominator == 1
+
+
+def test_fraction_sum_edge_cases():
+    assert fraction_sum([]) == 0 and type(fraction_sum([])) is Fraction
+    assert fraction_sum([(0, 3), (0, 5)]) == 0
+    assert fraction_sum([(1, 2), (1, 3), (-5, 6)]) == 0
+    assert fraction_sum([(1, 6), (1, 10), (-1, 15)]) == Fraction(1, 5)
+    big = 2**127 - 1  # prime, shares no factor with the small denominators
+    terms = [(7, big), (-1, 3), (2, big * 5), (1, 3)]
+    assert fraction_sum(terms) == Fraction(37, 5 * big)
 
 
 @given(laurents(), laurents(), laurents())
