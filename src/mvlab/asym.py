@@ -22,7 +22,7 @@ import mpmath as mp
 
 from .exact import BigFloat
 from .genus import agn_from_series
-from .volumes import sv_constant
+from .volumes import _check_stratum, sv_constant
 
 __all__ = [
     "MPoly",
@@ -93,8 +93,9 @@ def normalize_vol(g: int, n: int, a: Fraction, precision_bits: int = 320) -> Big
     Exact rational prefactor first, one rounding at the end. Tends to 1
     as g grows at fixed n.
     """
-    if 2 * g - 2 + n <= 0 or (g, n) == (0, 3):
-        raise ValueError(f"no normalization at (g, n) = ({g}, {n})")
+    _check_stratum(g, n)
+    if (g, n) == (0, 3):
+        raise ValueError("no normalization at (g, n) = (0, 3)")
     if precision_bits < 64:
         raise ValueError("precision below 64 bits rejected")
     rat = (
@@ -180,9 +181,12 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     )
 
 
-def _check_room(gmax: int, K: int) -> None:
-    # Reject before any sample is computed: a bad K would otherwise be
-    # found only after the genus tower up to gmax is built.
+def _check_room(n: int, gmax: int, K: int) -> None:
+    # Reject before any sample is computed: a bad n or K would otherwise
+    # be found only after the genus tower up to gmax is built. Samples
+    # start at g = 2, where every n >= 0 has a stratum.
+    if n < 0:
+        raise ValueError(f"no stratum for n = {n}")
     if K < 0:
         raise ValueError(f"fit order K must be nonnegative, got {K}")
     if gmax < 2 * K + 10:
@@ -196,7 +200,7 @@ def _sample_genera(gmax: int, K: int) -> range:
 
 def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the normalized-volume expansion at fixed n."""
-    _check_room(gmax, K)
+    _check_room(n, gmax, K)
     samples = [
         (g, normalize_vol(g, n, _a_series(g, n), precision_bits))
         for g in _sample_genera(gmax, K)
@@ -206,7 +210,7 @@ def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
 
 def estimate_C(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the area-constant expansion at fixed n."""
-    _check_room(gmax, K)
+    _check_room(n, gmax, K)
     samples = []
     with mp.workprec(precision_bits):
         for g in _sample_genera(gmax, K):
@@ -359,6 +363,9 @@ def compare_report(
     """
     if target not in ("vol", "sv", "both"):
         raise ValueError("target must be vol, sv, or both")
+    n_list = tuple(n_list)  # iterated once per target
+    for n in n_list:
+        _check_room(n, gmax, K)
     jobs = []
     if target in ("vol", "both"):
         jobs.append(("vol", estimate_m, conjectured_m, _TOL_M))

@@ -1,20 +1,22 @@
 """Command-line surface.
 
-Exact values print as lowest-terms fractions; JSON output is canonical
-(sorted keys, no whitespace) so that parse-and-reserialize is the
-identity. Exit code 0 means every requested check passed.
+Each command returns an ``Output`` record and ``render`` prints it in the
+requested format. Exact values print as lowest-terms fractions; JSON
+output is canonical (sorted keys, no whitespace) so that
+parse-and-reserialize is the identity. Exit code 0 means every requested
+check passed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -38,32 +40,46 @@ def resolve_cache_dir(flag: str | None) -> Path:
     return base / "mvlab"
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+class Output(NamedTuple):
+    """What one command prints, in each format, and its exit code."""
+
+    doc: dict  # the JSON document
+    rows: list  # CSV rows: dicts whose key order is the column order
+    lines: list  # plain-text lines
+    code: int = 0
+    columns: tuple = ()  # CSV header when rows may be empty
 
 
-def _emit_csv(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def render(out: Output, fmt: str) -> int:
+    if fmt == "json":
+        print(json.dumps(out.doc, sort_keys=True, separators=(",", ":")))
+    elif fmt == "csv":
+        columns = out.columns or tuple(out.rows[0])
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([row[c] for c in columns] for row in out.rows)
+    else:
+        for line in out.lines:
+            print(line)
+    return out.code
 
 
-def _pi_payload(g: int, n: int, v: PiScaled, numeric_bits: int | None) -> dict:
-    payload = {
+def _pi_output(g: int, n: int, v: PiScaled, numeric_bits: int | None = None) -> Output:
+    doc = {
         "g": g,
         "n": n,
         "coeff": str(v.coeff),
         "pi_half_exponent": v.pi_half_exponent,
     }
+    line = str(v)
     if numeric_bits is not None:
         digits = max(1, int(numeric_bits * 0.30103))
-        payload["approx"] = mp.nstr(v.to_mpf(numeric_bits), digits)
-    return payload
+        doc["approx"] = mp.nstr(v.to_mpf(numeric_bits), digits)
+        line += f"  ~ {doc['approx']}"
+    return Output(doc, [dict(sorted(doc.items()))], [line])
 
 
-def _cmd_agn(args) -> int:
+def _cmd_agn(args) -> Output:
     from . import agn, genus
 
     fn = {
@@ -71,168 +87,86 @@ def _cmd_agn(args) -> int:
         "alt": agn.a_alt,
         "series": genus.agn_from_series,
     }[args.method]
-    val = fn(args.g, args.n)
-    if args.format == "json":
-        print(_emit_json({"g": args.g, "n": args.n, "value": str(val)}))
-    elif args.format == "csv":
-        print(_emit_csv(["g", "n", "value"], [[args.g, args.n, str(val)]]))
-    else:
-        print(val)
-    return 0
+    val = str(fn(args.g, args.n))
+    row = {"g": args.g, "n": args.n, "value": val}
+    return Output(row, [row], [val])
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Output:
     out = Path(args.out) if args.out else (
         resolve_cache_dir(args.cache_dir) / f"agn_g{args.gmax}_n{args.nmax}.txt"
     )
     out.parent.mkdir(parents=True, exist_ok=True)
     table = build_table(args.gmax, args.nmax, args.method)
     save_table(table, out)
-    if args.format == "json":
-        print(_emit_json({
-            "entries": len(table),
-            "gmax": args.gmax,
-            "nmax": args.nmax,
-            "out": str(out),
-        }))
-    elif args.format == "csv":
-        print(_emit_csv(["out", "entries"], [[str(out), len(table)]]))
-    else:
-        print(f"wrote {out} ({len(table)} entries)")
-    return 0
+    return Output(
+        {"entries": len(table), "gmax": args.gmax, "nmax": args.nmax, "out": str(out)},
+        [{"out": str(out), "entries": len(table)}],
+        [f"wrote {out} ({len(table)} entries)"],
+    )
 
 
-def _cmd_volume(args) -> int:
-    v = volume(args.g, args.n)
-    payload = _pi_payload(args.g, args.n, v, args.numeric)
-    if args.format == "plain":
-        line = str(v)
-        if "approx" in payload:
-            line += f"  ~ {payload['approx']}"
-        print(line)
-    elif args.format == "csv":
-        header = list(sorted(payload))
-        print(_emit_csv(header, [[payload[k] for k in header]]))
-    else:
-        print(_emit_json(payload))
-    return 0
+def _cmd_volume(args) -> Output:
+    return _pi_output(args.g, args.n, volume(args.g, args.n), args.numeric)
 
 
-def _cmd_sv(args) -> int:
-    v = sv_constant(args.g, args.n)
-    payload = _pi_payload(args.g, args.n, v, None)
-    if args.format == "plain":
-        print(v)
-    elif args.format == "csv":
-        header = list(sorted(payload))
-        print(_emit_csv(header, [[payload[k] for k in header]]))
-    else:
-        print(_emit_json(payload))
-    return 0
+def _cmd_sv(args) -> Output:
+    return _pi_output(args.g, args.n, sv_constant(args.g, args.n))
 
 
-def _cmd_genus(args) -> int:
-    coeffs = coeffs_C(args.g)
-    vals = [str(c) for c in coeffs.C]
-    if args.format == "json":
-        print(_emit_json({"g": args.g, "C": vals}))
-    elif args.format == "csv":
-        print(_emit_csv(["j", "value"], list(enumerate(vals))))
-    else:
-        for j, v in enumerate(vals):
-            print(f"{j}\t{v}")
-    return 0
+def _cmd_genus(args) -> Output:
+    vals = [str(c) for c in coeffs_C(args.g).C]
+    return Output(
+        {"g": args.g, "C": vals},
+        [{"j": j, "value": v} for j, v in enumerate(vals)],
+        [f"{j}\t{v}" for j, v in enumerate(vals)],
+    )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Output:
     result = run_suite(args.suite, args.gmax)
-    if args.format == "json":
-        print(_emit_json({
-            "suite": result.suite,
-            "cases": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in result.cases
-            ],
-            "pass": result.passed,
-        }))
-    elif args.format == "csv":
-        print(_emit_csv(
-            ["name", "passed", "detail"],
-            [[c.name, c.passed, c.detail] for c in result.cases],
-        ))
-    else:
-        for c in result.cases:
-            if not c.passed:
-                print(f"FAIL {c.name}: {c.detail}")
-        print(result.summary)
-    return 0 if result.passed else 1
+    cases = [asdict(c) for c in result.cases]
+    fails = [f"FAIL {c.name}: {c.detail}" for c in result.cases if not c.passed]
+    return Output(
+        {"suite": result.suite, "cases": cases, "pass": result.passed},
+        cases,
+        fails + [result.summary],
+        0 if result.passed else 1,
+    )
 
 
-def _cmd_asym(args) -> int:
+def _cmd_asym(args) -> Output:
     report = compare_report(args.n, args.gmax, args.order, args.target, args.bits)
-    if args.format == "json":
-        print(_emit_json({
-            "target": args.target,
-            "cases": [
-                {
-                    "target": r.target,
-                    "n": r.n,
-                    "k": r.k,
-                    "estimate": r.estimate,
-                    "error_bar": r.error_bar,
-                    "reference": r.reference,
-                    "rel_deviation": r.rel_deviation,
-                    "passed": r.passed,
-                }
-                for r in report.rows
-            ],
-            "pass": report.passed,
-        }))
-    elif args.format == "csv":
-        print(_emit_csv(
-            ["target", "n", "k", "estimate", "error_bar", "reference",
-             "rel_deviation", "passed"],
-            [[r.target, r.n, r.k, r.estimate, r.error_bar, r.reference,
-              r.rel_deviation, r.passed] for r in report.rows],
-        ))
-    else:
-        for r in report.rows:
-            flag = "PASS" if r.passed else "FAIL"
-            print(
-                f"{r.target} n={r.n} k={r.k}: estimate={r.estimate} "
-                f"bar={r.error_bar} reference={r.reference} "
-                f"rel={r.rel_deviation} {flag}"
-            )
-        print("pass" if report.passed else "fail")
-    return 0 if report.passed else 1
+    cases = [asdict(r) for r in report.rows]
+    lines = [
+        f"{r.target} n={r.n} k={r.k}: estimate={r.estimate} "
+        f"bar={r.error_bar} reference={r.reference} "
+        f"rel={r.rel_deviation} {'PASS' if r.passed else 'FAIL'}"
+        for r in report.rows
+    ]
+    return Output(
+        {"target": args.target, "cases": cases, "pass": report.passed},
+        cases,
+        lines + ["pass" if report.passed else "fail"],
+        0 if report.passed else 1,
+    )
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache(args) -> Output:
     cache = resolve_cache_dir(args.cache_dir)
     files = sorted(cache.glob("*.txt")) if cache.is_dir() else []
     if args.clear:
         for f in files:
             f.unlink()
-        if args.format == "json":
-            print(_emit_json({"dir": str(cache), "removed": len(files)}))
-        else:
-            print(f"removed {len(files)} file(s) from {cache}")
-        return 0
-    entries = []
-    for f in files:
-        table = load_table(f)
-        entries.append({"name": f.name, "entries": len(table.entries)})
-    if args.format == "json":
-        print(_emit_json({"dir": str(cache), "files": entries}))
-    elif args.format == "csv":
-        print(_emit_csv(
-            ["name", "entries"], [[e["name"], e["entries"]] for e in entries]
-        ))
-    else:
-        print(cache)
-        for e in entries:
-            print(f"{e['name']}\t{e['entries']} entries")
-    return 0
+        row = {"dir": str(cache), "removed": len(files)}
+        return Output(row, [row], [f"removed {len(files)} file(s) from {cache}"])
+    entries = [{"name": f.name, "entries": len(load_table(f).entries)} for f in files]
+    return Output(
+        {"dir": str(cache), "files": entries},
+        entries,
+        [str(cache)] + [f"{e['name']}\t{e['entries']} entries" for e in entries],
+        columns=("name", "entries"),
+    )
 
 
 def _int_pair(sub) -> None:
@@ -242,7 +176,6 @@ def _int_pair(sub) -> None:
 
 def _add_format(sub, default: str) -> None:
     sub.add_argument("--format", choices=("plain", "json", "csv"), default=default)
-    sub.add_argument("--cache-dir", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("--method", choices=("direct", "alt", "series"), default="direct")
     _add_format(s, "plain")
+    s.add_argument("--cache-dir", default=None)
     s.set_defaults(fn=_cmd_table)
 
     s = subs.add_parser("volume", help="print one volume")
@@ -301,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("cache", help="inspect or clear the table cache")
     s.add_argument("--clear", action="store_true")
     _add_format(s, "plain")
+    s.add_argument("--cache-dir", default=None)
     s.set_defaults(fn=_cmd_cache)
 
     return p
@@ -309,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return render(args.fn(args), args.format)
     except (ValueError, TableFormatError, SupportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

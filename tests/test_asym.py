@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from mpmath import mp
 
+from mvlab import asym
 from mvlab.asym import (
     compare_report,
     conjectured_C,
@@ -44,6 +45,10 @@ def test_normalize_vol_rejections():
         normalize_vol(0, 2, Fraction(0))
     with pytest.raises(ValueError):
         normalize_vol(1, 1, Fraction(1, 12), precision_bits=32)
+    # agn_from_series returns 0 off the strata; that must not normalize to 0
+    for g, n in ((5, -1), (-1, 8), (0, -2)):
+        with pytest.raises(ValueError, match="no stratum"):
+            normalize_vol(g, n, agn_from_series(g, n))
 
 
 def test_richardson_recovers_random_rational_series():
@@ -100,16 +105,22 @@ def test_richardson_minimal_window_has_no_bars():
     ]
 
 
-def test_richardson_input_errors():
+def test_richardson_input_errors(monkeypatch):
     with pytest.raises(ValueError):
         richardson_fit([(20, 1), (20, 2), (21, 3)], 1)
     with pytest.raises(ValueError):
         richardson_fit([(20, 1), (21, 2)], 2)
     with pytest.raises(ValueError, match="nonnegative"):
         richardson_fit([(20, 1), (21, 2)], -1)
+    # bad inputs are rejected before the first sample is built
+    monkeypatch.setattr(asym, "_a_series", None)
     for estimate in (estimate_m, estimate_C):
         with pytest.raises(ValueError, match="nonnegative"):
             estimate(0, 20, -1)
+        with pytest.raises(ValueError, match="no stratum"):
+            estimate(-1, 20, 3)
+    with pytest.raises(ValueError, match="no stratum"):
+        compare_report([0, -1], 20, 3, target="vol")
 
 
 def test_estimate_requires_room():
@@ -270,6 +281,9 @@ def test_compare_report_empty():
 def test_compare_report_short_window_degrades_gracefully():
     rep = compare_report([0], 20, 5, target="vol")
     assert len(rep.rows) == 4
+    # n may be any iterable; a one-shot one must still reach every target
+    both = compare_report(iter([0]), 20, 5, target="both").rows
+    assert len(both) == 8 and both[:4] == rep.rows
     for row in rep.rows:
         assert float(row.error_bar) >= 0
         assert row.reference

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvlab import genus
+from mvlab import cli, genus
+from mvlab.agn import build_table, save_table
 from mvlab.cli import main, resolve_cache_dir
 from mvlab.exact import LaurentT
+from mvlab.verify import VerifyCase, VerifyResult
 
 
 def run(capsys, *argv):
@@ -99,6 +101,15 @@ def test_verify_suite_passes(capsys):
     assert "35/35 entries match" in out
 
 
+def test_verify_lists_failures(capsys, monkeypatch):
+    cases = (VerifyCase("a(1,1)", True), VerifyCase("a(2,0)", False, "got 1, want 0"))
+    monkeypatch.setattr(cli, "run_suite", lambda suite, gmax: VerifyResult(suite, cases))
+    code, out, _ = run(capsys, "verify", "--suite", "table1")
+    assert (code, out) == (1, "FAIL a(2,0): got 1, want 0\n1/2 entries match\n")
+    code, out, _ = run(capsys, "verify", "--suite", "table1", "--format", "csv")
+    assert (code, out) == (1, 'name,passed,detail\n"a(1,1)",True,\n"a(2,0)",False,"got 1, want 0"\n')
+
+
 def test_verify_table1_rejects_gmax(capsys):
     code, out, err = run(capsys, "verify", "--suite", "table1", "--gmax", "99")
     assert code == 2
@@ -134,6 +145,16 @@ def test_asym_rejects_negative_order(capsys):
     code, out, err = run(capsys, "asym", "--order", "-1", "--gmax", "20")
     assert _one_error_line(code, out, err), (code, out, err)
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("target", ["vol", "sv", "both"])
+def test_asym_rejects_negative_n(capsys, target):
+    code, out, err = run(
+        capsys, "asym", "--target", target, "--n", "0", "-1",
+        "--gmax", "20", "--order", "3",
+    )
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert "no stratum" in err
 
 
 def test_support_error_reports_one_line(capsys, monkeypatch):
@@ -176,6 +197,28 @@ def test_table_and_cache_flow(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "removed 1" in out
     assert not written.exists()
+
+    run(capsys, "table", "--gmax", "2", "--nmax", "3")
+    code, out, _ = run(capsys, "cache", "--clear", "--format", "csv")
+    assert (code, out) == (0, f"dir,removed\n{tmp_path / 'cache'},1\n")
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("agn", "--g", "2", "--n", "1"),
+    ("volume", "--g", "1", "--n", "1"),
+    ("sv", "--g", "1", "--n", "1"),
+    ("genus", "--g", "2"),
+    ("verify", "--suite", "table1"),
+    ("asym", "--gmax", "20", "--order", "3"),
+])
+def test_cache_dir_only_on_table_and_cache(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --cache-dir" in captured.err
 
 
 def test_table_explicit_out(tmp_path, capsys):
@@ -237,10 +280,15 @@ _POINT_COMMANDS = [
 ]
 
 
-@given(st.sampled_from(_POINT_COMMANDS), st.integers(-3, 6), st.integers(-3, 9))
+@given(
+    st.sampled_from(_POINT_COMMANDS),
+    st.integers(-3, 6),
+    st.integers(-3, 9),
+    st.sampled_from(("plain", "json", "csv")),
+)
 @settings(max_examples=200, deadline=None)
-def test_point_commands_compute_or_reject_in_one_line(command, g, n):
-    argv = [*command, "--g", str(g)]
+def test_point_commands_compute_or_reject_in_one_line(command, g, n, fmt):
+    argv = [*command, "--g", str(g), "--format", fmt]
     if command[0] != "genus":
         argv += ["--n", str(n)]
     out, err = io.StringIO(), io.StringIO()
@@ -253,3 +301,100 @@ def test_point_commands_compute_or_reject_in_one_line(command, g, n):
             assert g >= 0 and n >= 0, argv
     else:
         assert _one_error_line(code, out, err), (argv, code, out, err)
+
+
+# One input per command and the exact stdout in each format. "{tmp}"
+# stands for the test's tmp_path. At gmax 12 the asym fit is too short
+# for its tolerances, so every row fails and the exit code is 1.
+_PINNED = {
+    "agn": (["agn", "--g", "3", "--n", "2"], 0, {
+        "plain": "77633/27648\n",
+        "json": '{"g":3,"n":2,"value":"77633/27648"}\n',
+        "csv": "g,n,value\n3,2,77633/27648\n",
+    }),
+    "table": (["table", "--gmax", "1", "--nmax", "2", "--cache-dir", "{tmp}"], 0, {
+        "plain": "wrote {tmp}/agn_g1_n2.txt (6 entries)\n",
+        "json": '{"entries":6,"gmax":1,"nmax":2,"out":"{tmp}/agn_g1_n2.txt"}\n',
+        "csv": "out,entries\n{tmp}/agn_g1_n2.txt,6\n",
+    }),
+    "volume": (["volume", "--g", "2", "--n", "3", "--numeric", "64"], 0, {
+        "plain": "29/2880 * pi^12  ~ 9306.87717506175396\n",
+        "json": '{"approx":"9306.87717506175396","coeff":"29/2880","g":2,"n":3,'
+                '"pi_half_exponent":24}\n',
+        "csv": "approx,coeff,g,n,pi_half_exponent\n"
+               "9306.87717506175396,29/2880,2,3,24\n",
+    }),
+    "sv": (["sv", "--g", "2", "--n", "1"], 0, {
+        "plain": "230/87 * pi^-2\n",
+        "json": '{"coeff":"230/87","g":2,"n":1,"pi_half_exponent":-4}\n',
+        "csv": "coeff,g,n,pi_half_exponent\n230/87,2,1,-4\n",
+    }),
+    "genus": (["genus", "--g", "2"], 0, {
+        "plain": "0\t7/1440\n1\t5/1152\n2\t7/5760\n",
+        "json": '{"C":["7/1440","5/1152","7/5760"],"g":2}\n',
+        "csv": "j,value\n0,7/1440\n1,5/1152\n2,7/5760\n",
+    }),
+    "verify": (["verify", "--suite", "funceq", "--gmax", "2"], 0, {
+        "plain": "2/2 entries match\n",
+        "json": '{"cases":[{"detail":"","name":"window(8,2) residuals vanish",'
+                '"passed":true},{"detail":"","name":"perturbed table detected",'
+                '"passed":true}],"pass":true,"suite":"funceq"}\n',
+        "csv": 'name,passed,detail\n"window(8,2) residuals vanish",True,\n'
+               "perturbed table detected,True,\n",
+    }),
+    "asym": (["asym", "--n", "1", "--gmax", "12", "--order", "1", "--bits", "64"], 1, {
+        "plain": "vol n=1 k=0: estimate=1.00031610265 bar=0.00101 reference=1.0 "
+                 "rel=0.000316 FAIL\n"
+                 "vol n=1 k=1: estimate=-0.0754141363142 bar=0.00825 "
+                 "reference=-0.068538919452 rel=0.1 FAIL\n"
+                 "sv n=1 k=0: estimate=0.249902067168 bar=0.000135 reference=0.25 "
+                 "rel=0.000392 FAIL\n"
+                 "sv n=1 k=1: estimate=0.0317009501657 bar=0.00117 "
+                 "reference=0.0294006982648 rel=0.0782 FAIL\n"
+                 "fail\n",
+        "json": '{"cases":['
+                '{"error_bar":"0.00101","estimate":"1.00031610265","k":0,"n":1,'
+                '"passed":false,"reference":"1.0","rel_deviation":"0.000316",'
+                '"target":"vol"},'
+                '{"error_bar":"0.00825","estimate":"-0.0754141363142","k":1,"n":1,'
+                '"passed":false,"reference":"-0.068538919452","rel_deviation":"0.1",'
+                '"target":"vol"},'
+                '{"error_bar":"0.000135","estimate":"0.249902067168","k":0,"n":1,'
+                '"passed":false,"reference":"0.25","rel_deviation":"0.000392",'
+                '"target":"sv"},'
+                '{"error_bar":"0.00117","estimate":"0.0317009501657","k":1,"n":1,'
+                '"passed":false,"reference":"0.0294006982648","rel_deviation":"0.0782",'
+                '"target":"sv"}],"pass":false,"target":"both"}\n',
+        "csv": "target,n,k,estimate,error_bar,reference,rel_deviation,passed\n"
+               "vol,1,0,1.00031610265,0.00101,1.0,0.000316,False\n"
+               "vol,1,1,-0.0754141363142,0.00825,-0.068538919452,0.1,False\n"
+               "sv,1,0,0.249902067168,0.000135,0.25,0.000392,False\n"
+               "sv,1,1,0.0317009501657,0.00117,0.0294006982648,0.0782,False\n",
+    }),
+    "cache": (["cache", "--cache-dir", "{tmp}"], 0, {
+        "plain": "{tmp}\nagn_g1_n2.txt\t6 entries\n",
+        "json": '{"dir":"{tmp}","files":[{"entries":6,"name":"agn_g1_n2.txt"}]}\n',
+        "csv": "name,entries\nagn_g1_n2.txt,6\n",
+    }),
+    "cache-empty": (["cache", "--cache-dir", "{tmp}/none"], 0, {
+        "plain": "{tmp}/none\n",
+        "json": '{"dir":"{tmp}/none","files":[]}\n',
+        "csv": "name,entries\n",
+    }),
+    "cache-clear": (["cache", "--clear", "--cache-dir", "{tmp}"], 0, {
+        "plain": "removed 1 file(s) from {tmp}\n",
+        "json": '{"dir":"{tmp}","removed":1}\n',
+        "csv": "dir,removed\n{tmp},1\n",
+    }),
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_output_is_pinned(tmp_path, capsys, name, fmt):
+    argv, want_code, want = _PINNED[name]
+    if name in ("cache", "cache-clear"):
+        save_table(build_table(1, 2, "direct"), tmp_path / "agn_g1_n2.txt")
+    sub = lambda text: text.replace("{tmp}", str(tmp_path))
+    code, out, err = run(capsys, *map(sub, argv), "--format", fmt)
+    assert (code, out, err) == (want_code, sub(want[fmt]), "")
