@@ -15,7 +15,7 @@ from math import comb, factorial
 from pathlib import Path
 
 from .exact import fraction_sum
-from .genus import agn_from_series
+from .genus import _is_structural_zero, agn_from_series
 
 __all__ = [
     "a_direct",
@@ -30,10 +30,6 @@ __all__ = [
 HEADER = "# agn-table v1"
 
 _BOUNDARY = {(0, 3): Fraction(1), (0, 4): Fraction(1)}
-
-
-def _is_structural_zero(g: int, n: int) -> bool:
-    return g < 0 or n < 0 or 2 * g - 2 + n <= 0
 
 
 _direct: dict[tuple[int, int], Fraction] = dict(_BOUNDARY)
@@ -93,30 +89,14 @@ def a_direct(g: int, n: int) -> Fraction:
 _alt: dict[tuple[int, int], Fraction] = {}
 _alt_P: dict[tuple[int, int], Fraction] = {}
 
-# 1/(4^j (2j+1)!) and 1/(4^j (2j)!) show up in every cell; cache them.
-_w_odd: dict[int, Fraction] = {}
-_w_even: dict[int, Fraction] = {}
-
-
-def _wodd(j: int) -> Fraction:
-    if j not in _w_odd:
-        _w_odd[j] = Fraction((-1) ** j, 4**j * factorial(2 * j + 1))
-    return _w_odd[j]
-
-
-def _weven(j: int) -> Fraction:
-    if j not in _w_even:
-        _w_even[j] = Fraction((-1) ** j, 4**j * factorial(2 * j))
-    return _w_even[j]
-
 
 def _alt_P_at(gam: int, nu: int, skip_head: bool) -> Fraction:
     """Convolution kernel P_{gam,nu} = (1/nu!) sum_j w_j a_{gam-j, nu+2j+2}.
 
-    With skip_head the j = 0 term is omitted; the caller uses that for
-    the single entry that would reference the cell currently being
-    computed (its convolution partner is identically zero, so nothing
-    is lost).
+    The weights are w_j = (-1)^j / (4^j (2j+1)!). With skip_head the
+    j = 0 term is omitted; the caller uses that for the single entry
+    that would reference the cell currently being computed (its
+    convolution partner is identically zero, so nothing is lost).
     """
     if not skip_head and (gam, nu) in _alt_P:
         return _alt_P[(gam, nu)]
@@ -125,8 +105,11 @@ def _alt_P_at(gam: int, nu: int, skip_head: bool) -> Fraction:
     for j in range(1 if skip_head else 0, gam + 1):
         if _is_structural_zero(gam - j, nu + 2 * j + 2):
             continue
-        w, a = _wodd(j), _alt[(gam - j, nu + 2 * j + 2)]
-        terms.append((w.numerator * a.numerator, nu_fact * w.denominator * a.denominator))
+        a = _alt[(gam - j, nu + 2 * j + 2)]
+        terms.append((
+            (-1) ** j * a.numerator,
+            nu_fact * 4**j * factorial(2 * j + 1) * a.denominator,
+        ))
     tot = fraction_sum(terms)
     if not skip_head:
         _alt_P[(gam, nu)] = tot
@@ -134,8 +117,9 @@ def _alt_P_at(gam: int, nu: int, skip_head: bool) -> Fraction:
 
 
 def _alt_cell(g: int, n: int) -> Fraction:
-    # (q!/2) * conv(P, P) - sum_j w_j a_{g-j, q+2j+2}, plus 1 at (0, 3),
-    # summed as integer pairs over one shared denominator.
+    # (q!/2) * conv(P, P) - sum_j v_j a_{g-j, q+2j+2}, plus 1 at (0, 3),
+    # with v_j = (-1)^j / (4^j (2j)!), summed as integer pairs over one
+    # shared denominator.
     q = n - 2
     q_fact = factorial(q)
     terms = []
@@ -152,8 +136,8 @@ def _alt_cell(g: int, n: int) -> Fraction:
     for j in range(1, g + 1):
         if _is_structural_zero(g - j, q + 2 * j + 2):
             continue
-        w, a = _weven(j), _alt[(g - j, q + 2 * j + 2)]
-        terms.append((-w.numerator * a.numerator, w.denominator * a.denominator))
+        a = _alt[(g - j, q + 2 * j + 2)]
+        terms.append(((-1) ** (j + 1) * a.numerator, 4**j * factorial(2 * j) * a.denominator))
     if q == 1 and g == 0:
         terms.append((1, 1))
     return fraction_sum(terms)
@@ -167,8 +151,6 @@ def a_alt(g: int, n: int) -> Fraction:
     """
     if n < 2:
         raise ValueError("a_alt is defined for n >= 2")
-    if g < 0:
-        return Fraction(0)
     if _is_structural_zero(g, n):
         return Fraction(0)
     if (g, n) not in _alt:
@@ -220,7 +202,7 @@ def build_table(gmax: int, nmax: int, method: str = "direct") -> AgnTable:
                 v = a_alt(g, n) if n >= 2 else agn_from_series(g, n)
             else:
                 v = agn_from_series(g, n)
-            if 2 * g - 2 + n > 0 and v <= 0:
+            if not _is_structural_zero(g, n) and v <= 0:
                 raise AssertionError(f"a_({g},{n}) = {v} is not positive")
             entries[(g, n)] = v
     return AgnTable(entries, method)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -37,9 +36,6 @@ __all__ = [
     "CompareReport",
     "compare_report",
 ]
-
-_a_series = lru_cache(maxsize=None)(agn_from_series)
-
 
 @dataclass(frozen=True)
 class MPoly:
@@ -202,7 +198,7 @@ def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the normalized-volume expansion at fixed n."""
     _check_room(n, gmax, K)
     samples = [
-        (g, normalize_vol(g, n, _a_series(g, n), precision_bits))
+        (g, normalize_vol(g, n, agn_from_series(g, n), precision_bits))
         for g in _sample_genera(gmax, K)
     ]
     return richardson_fit(samples, K, precision_bits)
@@ -214,7 +210,7 @@ def estimate_C(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     samples = []
     with mp.workprec(precision_bits):
         for g in _sample_genera(gmax, K):
-            c = sv_constant(g, n, a_source=_a_series)
+            c = sv_constant(g, n)
             val = +(mp.mpf(c.coeff.numerator) / c.coeff.denominator / mp.pi**2)
             samples.append((g, BigFloat(val, precision_bits)))
     return richardson_fit(samples, K, precision_bits)

@@ -30,8 +30,6 @@ __all__ = [
     "rat_to_bigfloat",
 ]
 
-Rat = Fraction
-
 _bernoulli_cache: dict[int, Fraction] = {0: Fraction(1)}
 
 

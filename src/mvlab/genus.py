@@ -76,25 +76,24 @@ def tilde_u(g: int) -> LaurentT:
     return _tilde[g]
 
 
-_u_tilde_path: dict[int, LaurentT] = {}
-
-
 def u_from_tilde(g: int) -> LaurentT:
-    """Profile u^[g] assembled from the tu tower."""
+    """Profile u^[g] assembled from the tu tower.
+
+    Not memoized: its one caller in the package, coeffs_C, keeps the row
+    it reads off the profile.
+    """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    if g not in _u_tilde_path:
-        acc = tilde_u(g)
-        for g1 in range(1, g + 1):
-            w = (
-                Fraction(2 ** (2 * g1 - 1) - 1, 2 ** (2 * g1 - 1))
-                * abs(bernoulli(2 * g1))
-                / factorial(2 * g1)
-            )
-            acc = acc + laurent_dt(tilde_u(g - g1), 2 * g1).scale(w)
-        _check_support(acc, g, "u", exact=True)
-        _u_tilde_path[g] = acc
-    return _u_tilde_path[g]
+    acc = tilde_u(g)
+    for g1 in range(1, g + 1):
+        w = (
+            Fraction(2 ** (2 * g1 - 1) - 1, 2 ** (2 * g1 - 1))
+            * abs(bernoulli(2 * g1))
+            / factorial(2 * g1)
+        )
+        acc = acc + laurent_dt(tilde_u(g - g1), 2 * g1).scale(w)
+    _check_support(acc, g, "u", exact=True)
+    return acc
 
 
 _u_direct: list[LaurentT] = [LaurentT({0: 1, 1: -1})]
@@ -145,21 +144,27 @@ class GenusCoeffs:
     C: tuple[Fraction, ...]
 
 
+_rows: dict[int, GenusCoeffs] = {}
+
+
 def coeffs_C(g: int) -> GenusCoeffs:
     """C_{g,j} for j = 0..g, read off the u^[g] profile.
 
     C_{g,j} is the coefficient of T^-(5g-1-j) in u^[g] divided by
     (5g-3-j)*(5g-5-j). The support of u^[g] must be exactly the g+1
     exponents -(5g-1)..-(4g-1); anything else is an internal error.
+    Each row is built once.
     """
     if g < 2:
         raise ValueError("coeffs_C needs g >= 2")
-    u = u_from_tilde(g)
-    vals = []
-    for j in range(g + 1):
-        c = u.coeff(-(5 * g - 1 - j))
-        vals.append(c / ((5 * g - 3 - j) * (5 * g - 5 - j)))
-    return GenusCoeffs(g, tuple(vals))
+    if g not in _rows:
+        u = u_from_tilde(g)
+        vals = []
+        for j in range(g + 1):
+            c = u.coeff(-(5 * g - 1 - j))
+            vals.append(c / ((5 * g - 3 - j) * (5 * g - 5 - j)))
+        _rows[g] = GenusCoeffs(g, tuple(vals))
+    return _rows[g]
 
 
 _kaz_rows: dict[int, tuple[Fraction, ...]] = {1: (Fraction(1, 12), Fraction(1, 24))}
@@ -197,24 +202,35 @@ def kazarian_c(g: int) -> tuple[Fraction, ...]:
     return _kaz_rows[g]
 
 
+def _is_structural_zero(g: int, n: int) -> bool:
+    """True when (g, n) has no stratum; a_{g,n} is 0 there by convention."""
+    return g < 0 or n < 0 or 2 * g - 2 + n <= 0
+
+
+_series: dict[tuple[int, int], Fraction] = {}
+
+
 def agn_from_series(g: int, n: int) -> Fraction:
     """a_{g,n} rebuilt from genus data, no table recursion involved.
 
     Genus 0 and 1 come from derivatives of the closed genus blocks;
     genus >= 2 uses 2^n * sum_j C_{g,j} * rising((5g-5-j)/2, n), where
-    2^n * rising(m/2, n) = m(m+2)...(m+2n-2) is an integer.
+    2^n * rising(m/2, n) = m(m+2)...(m+2n-2) is an integer. The
+    genus >= 2 cells are memoized.
     """
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+    if _is_structural_zero(g, n):
         return Fraction(0)
     if g == 0:
         return Fraction(double_factorial(2 * n - 7)) if n >= 3 else Fraction(0)
     if g == 1:
         return Fraction(2 ** (n - 1) * factorial(n - 1) + double_factorial(2 * n - 3), 24)
-    terms = []
-    for j, c in enumerate(coeffs_C(g).C):
-        m = 5 * g - 5 - j
-        terms.append((c.numerator * prod(range(m, m + 2 * n, 2)), c.denominator))
-    return fraction_sum(terms)
+    if (g, n) not in _series:
+        terms = []
+        for j, c in enumerate(coeffs_C(g).C):
+            m = 5 * g - 5 - j
+            terms.append((c.numerator * prod(range(m, m + 2 * n, 2)), c.denominator))
+        _series[(g, n)] = fraction_sum(terms)
+    return _series[(g, n)]
 
 
 def closed_H(g: int) -> GenusBlock:

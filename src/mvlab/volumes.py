@@ -15,7 +15,7 @@ import mpmath as mp
 
 from .agn import a_direct
 from .exact import bernoulli, double_factorial
-from .genus import coeffs_C
+from .genus import _is_structural_zero, agn_from_series
 
 __all__ = [
     "PiScaled",
@@ -52,7 +52,7 @@ class PiScaled:
 
 
 def _check_stratum(g: int, n: int) -> None:
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+    if _is_structural_zero(g, n):
         raise ValueError(f"no stratum for (g, n) = ({g}, {n})")
 
 
@@ -146,25 +146,26 @@ def kappa(g: int) -> PiScaled:
     return PiScaled(coeff, 12 * g - 11 - (1 if half else 0))
 
 
-def sv_constant(g: int, n: int, a_source=a_direct) -> PiScaled:
+def sv_constant(g: int, n: int) -> PiScaled:
     """Area Siegel-Veech constant of the (g, n) stratum, a multiple of pi^-2.
 
     Defined on the same (g, n) as volume; undefined when a_{g,n} = 0.
-    a_source lets callers swap in another exact evaluation of the same
-    table (the asymptotics runs use the series fast path).
+    The a_{g,n} come from the genus-series route, which needs no table
+    below (g, n).
     """
     _check_stratum(g, n)
-    a = a_source(g, n)
+    a = agn_from_series(g, n)
     if a == 0:
         raise ValueError(f"a_({g},{n}) vanishes; no area constant")
     bracket = Fraction(0)
     if n >= 2:
-        bracket += n * (n - 1) * a_source(g, n - 1)
-    bracket += a_source(g - 1, n + 2) if g >= 1 else Fraction(0)
+        bracket += n * (n - 1) * agn_from_series(g, n - 1)
+    bracket += agn_from_series(g - 1, n + 2)
     for g1 in range(g + 1):
         for n1 in range(1, n + 2):
             g2, n2 = g - g1, n + 2 - n1
             if 3 * g1 - 3 + n1 <= 0 or 3 * g2 - 3 + n2 <= 0:
                 continue
-            bracket += comb(n, n1 - 1) * a_source(g1, n1) * a_source(g2, n2)
+            a1, a2 = agn_from_series(g1, n1), agn_from_series(g2, n2)
+            bracket += comb(n, n1 - 1) * a1 * a2
     return PiScaled(bracket / (4 * a), -4)

@@ -113,7 +113,8 @@ def test_richardson_input_errors(monkeypatch):
     with pytest.raises(ValueError, match="nonnegative"):
         richardson_fit([(20, 1), (21, 2)], -1)
     # bad inputs are rejected before the first sample is built
-    monkeypatch.setattr(asym, "_a_series", None)
+    monkeypatch.setattr(asym, "agn_from_series", None)
+    monkeypatch.setattr(asym, "sv_constant", None)
     for estimate in (estimate_m, estimate_C):
         with pytest.raises(ValueError, match="nonnegative"):
             estimate(0, 20, -1)

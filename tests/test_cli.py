@@ -165,7 +165,7 @@ def test_support_error_reports_one_line(capsys, monkeypatch):
     hole = -(5 * g - 2)
     tower[g] = tower[g] - LaurentT.monomial(hole, genus.u_from_tilde(g).coeff(hole))
     monkeypatch.setattr(genus, "_tilde", tower)
-    monkeypatch.setattr(genus, "_u_tilde_path", {})
+    monkeypatch.setattr(genus, "_rows", {})
     code, out, err = run(capsys, "genus", "--g", str(g))
     assert _one_error_line(code, out, err), (code, out, err)
     assert "is not exactly" in err

@@ -1,13 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from mvlab import genus
 from mvlab.agn import a_direct
 from mvlab.genus import (
     agn_from_series,
     closed_H,
     coeffs_C,
     genus_ode_residual,
+    hg_block,
     kazarian_c,
     tilde_u,
     u_direct,
@@ -57,6 +60,27 @@ def test_series_closed_forms_low_genus():
     for g in range(2):
         for n in range(10):
             assert agn_from_series(g, n) == a_direct(g, n), (g, n)
+
+
+def test_series_rows_are_built_once(monkeypatch):
+    # Every series quantity of genus g reads one cached C row, so the
+    # profile u^[g] is assembled once however many cells are asked for.
+    monkeypatch.setattr(genus, "_rows", {})
+    monkeypatch.setattr(genus, "_series", {})
+    built = Counter()
+    profile = genus.u_from_tilde
+
+    def counted(g):
+        built[g] += 1
+        return profile(g)
+
+    monkeypatch.setattr(genus, "u_from_tilde", counted)
+    for g in (2, 5, 9):
+        for n in range(31):
+            agn_from_series(g, n)
+        coeffs_C(g)
+        hg_block(g)
+    assert built == {2: 1, 5: 1, 9: 1}
 
 
 def test_closed_blocks_vanish_or_match_at_one():

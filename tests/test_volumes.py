@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from mpmath import mp
 
-from mvlab.genus import agn_from_series, coeffs_C
+from mvlab.agn import a_direct
+from mvlab.genus import coeffs_C
 from mvlab.volumes import (
     PiScaled,
     cg_seq,
@@ -77,8 +79,20 @@ def test_sv_rejects_empty_strata():
 
 
 def test_sv_alternate_source():
-    got = sv_constant(3, 2, a_source=agn_from_series)
-    assert got == sv_constant(3, 2)
+    # sv_constant reads the series route; the same area bracket on the
+    # direct route's cells must give the same exact constants.
+    for g in range(5):
+        for n in range(6):
+            if 2 * g - 2 + n <= 0:
+                continue
+            bracket = n * (n - 1) * a_direct(g, n - 1) + a_direct(g - 1, n + 2)
+            for g1 in range(g + 1):
+                for n1 in range(1, n + 2):
+                    g2, n2 = g - g1, n + 2 - n1
+                    if 3 * g1 - 3 + n1 > 0 and 3 * g2 - 3 + n2 > 0:
+                        bracket += comb(n, n1 - 1) * a_direct(g1, n1) * a_direct(g2, n2)
+            want = PiScaled(bracket / (4 * a_direct(g, n)), -4)
+            assert sv_constant(g, n) == want, (g, n)
 
 
 def test_large_n_scaling_toward_kappa():
