@@ -90,19 +90,16 @@ _alt: dict[tuple[int, int], Fraction] = {}
 _alt_P: dict[tuple[int, int], Fraction] = {}
 
 
-def _alt_P_at(gam: int, nu: int, skip_head: bool) -> Fraction:
+def _alt_P_at(gam: int, nu: int) -> Fraction:
     """Convolution kernel P_{gam,nu} = (1/nu!) sum_j w_j a_{gam-j, nu+2j+2}.
 
-    The weights are w_j = (-1)^j / (4^j (2j+1)!). With skip_head the
-    j = 0 term is omitted; the caller uses that for the single entry
-    that would reference the cell currently being computed (its
-    convolution partner is identically zero, so nothing is lost).
+    The weights are w_j = (-1)^j / (4^j (2j+1)!).
     """
-    if not skip_head and (gam, nu) in _alt_P:
+    if (gam, nu) in _alt_P:
         return _alt_P[(gam, nu)]
     nu_fact = factorial(nu)
     terms = []
-    for j in range(1 if skip_head else 0, gam + 1):
+    for j in range(gam + 1):
         if _is_structural_zero(gam - j, nu + 2 * j + 2):
             continue
         a = _alt[(gam - j, nu + 2 * j + 2)]
@@ -111,8 +108,7 @@ def _alt_P_at(gam: int, nu: int, skip_head: bool) -> Fraction:
             nu_fact * 4**j * factorial(2 * j + 1) * a.denominator,
         ))
     tot = fraction_sum(terms)
-    if not skip_head:
-        _alt_P[(gam, nu)] = tot
+    _alt_P[(gam, nu)] = tot
     return tot
 
 
@@ -125,10 +121,14 @@ def _alt_cell(g: int, n: int) -> Fraction:
     terms = []
     for g1 in range(g + 1):
         for nu1 in range(q + 1):
-            left = _alt_P_at(g1, nu1, skip_head=(g1, nu1) == (g, q))
+            # P_{g,q} reads the cell being computed; its partner here is
+            # P_{0,0} = a_{0,2} = 0, so both such pairs are skipped.
+            if (g1, nu1) in ((0, 0), (g, q)):
+                continue
+            left = _alt_P_at(g1, nu1)
             if not left:
                 continue
-            right = _alt_P_at(g - g1, q - nu1, skip_head=(g - g1, q - nu1) == (g, q))
+            right = _alt_P_at(g - g1, q - nu1)
             terms.append((
                 q_fact * left.numerator * right.numerator,
                 2 * left.denominator * right.denominator,

@@ -7,8 +7,8 @@ shifted window. The results are compared against the conjectured
 polynomials in n and M = -pi^2/144.
 
 Everything rational is carried exactly until the single rounding into
-mpmath floats at a caller-chosen precision; the fits themselves run at
-that same precision.
+mpmath floats (PiScaled.to_mpf) at a caller-chosen precision; the fits
+themselves run at that same precision.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import mpmath as mp
 
 from .exact import BigFloat
 from .genus import agn_from_series
-from .volumes import _check_stratum, sv_constant
+from .volumes import PiScaled, _check_precision, _check_stratum, sv_constant
 
 __all__ = [
     "MPoly",
@@ -55,28 +55,18 @@ class MPoly:
                 acc = acc * m_val + mp.mpf(c.numerator) / c.denominator
             return +acc
 
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.m_coeffs):
-            if c == 0:
-                continue
-            parts.append(str(c) if i == 0 else f"({c})*M^{i}")
-        return " + ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True)
 class AsymFit:
     """Result of a windowed 1/g fit.
 
-    coefficients come from exact interpolation on the top K+1 samples;
-    ls_coefficients from least squares over a wider top window. The
-    error estimates are coefficient-wise differences against a fit on
-    a window shifted down by shift_used (zeros when no shift fits).
+    coefficients come from exact interpolation on the top K+1 samples.
+    The error estimates are coefficient-wise differences against a fit
+    on a window shifted down by shift_used (zeros when no shift fits).
     """
 
     coefficients: tuple
     error_estimates: tuple
-    ls_coefficients: tuple
     window: tuple
     K: int
     shift_used: int
@@ -92,29 +82,24 @@ def normalize_vol(g: int, n: int, a: Fraction, precision_bits: int = 320) -> Big
     _check_stratum(g, n)
     if (g, n) == (0, 3):
         raise ValueError("no normalization at (g, n) = (0, 3)")
-    if precision_bits < 64:
-        raise ValueError("precision below 64 bits rejected")
     rat = (
         Fraction(a)
         * factorial(4 * g - 4 + n)
         * Fraction(3) ** (4 * g + n - 4)
         / (factorial(6 * g - 7 + 2 * n) * Fraction(2) ** (10 * g + 4 * n - 11))
     )
-    with mp.workprec(precision_bits):
-        val = +(mp.mpf(rat.numerator) / rat.denominator * mp.pi ** (6 * g - 5 + 2 * n))
+    val = PiScaled(rat, 2 * (6 * g - 5 + 2 * n)).to_mpf(precision_bits)
     return BigFloat(val, precision_bits)
 
 
-def _sample_value(s) -> mp.mpf:
+def _sample_value(s, bits: int) -> mp.mpf:
     # Never reconvert an existing mpf: mp.mpf(x) rounds to the ambient
     # context precision, which may be far below the sample's own.
     if isinstance(s, BigFloat):
         return s.value
     if isinstance(s, mp.mpf):
         return s
-    if isinstance(s, Fraction):
-        return mp.mpf(s.numerator) / s.denominator
-    return mp.mpf(s)
+    return PiScaled(Fraction(s), 0).to_mpf(bits)
 
 
 def _solve_window(pts, K: int):
@@ -131,15 +116,18 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit sum_{k<=K} c_k / g^k to the top of a sampled sequence.
 
     samples: iterable of (g, value) with distinct g; value may be a
-    BigFloat or anything mpmath accepts. Needs at least K+1 samples;
-    the square fit uses the top K+1, the least-squares cross-check the
-    top 2K (when available), and error bars come from sliding the
-    square window down by up to 5 samples.
+    BigFloat, an mpf, or an exact number that Fraction accepts. Needs at
+    least K+1 samples; the fit uses the top K+1, and error bars come
+    from sliding that window down by up to 5 samples.
     """
     if K < 0:
         raise ValueError(f"fit order K must be nonnegative, got {K}")
+    _check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        pts = sorted(((int(g), _sample_value(v)) for g, v in samples), key=lambda t: t[0])
+        pts = sorted(
+            ((int(g), _sample_value(v, precision_bits)) for g, v in samples),
+            key=lambda t: t[0],
+        )
         if len({g for g, _ in pts}) != len(pts):
             raise ValueError("duplicate g values in samples")
         if len(pts) < K + 1:
@@ -155,21 +143,10 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
         else:
             bars = [mp.mpf(0)] * (K + 1)
 
-        ls_n = min(2 * K, len(pts))
-        if ls_n > K + 1:
-            wide = pts[-ls_n:]
-            rows = [[mp.mpf(1) / mp.mpf(g) ** k for k in range(K + 1)] for g, _ in wide]
-            rhs = mp.matrix([v for _, v in wide])
-            ls, _ = mp.qr_solve(mp.matrix(rows), rhs)
-            ls_coeffs = [ls[i] for i in range(K + 1)]
-        else:
-            ls_coeffs = list(coeffs)
-
     wrap = lambda xs: tuple(BigFloat(x, precision_bits) for x in xs)
     return AsymFit(
         coefficients=wrap(coeffs),
         error_estimates=wrap(bars),
-        ls_coefficients=wrap(ls_coeffs),
         window=(top[0][0], top[-1][0]),
         K=K,
         shift_used=shift,
@@ -177,8 +154,8 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     )
 
 
-def _check_room(n: int, gmax: int, K: int) -> None:
-    # Reject before any sample is computed: a bad n or K would otherwise
+def _check_room(n: int, gmax: int, K: int, precision_bits: int) -> None:
+    # Reject before any sample is computed: bad input would otherwise
     # be found only after the genus tower up to gmax is built. Samples
     # start at g = 2, where every n >= 0 has a stratum.
     if n < 0:
@@ -187,16 +164,17 @@ def _check_room(n: int, gmax: int, K: int) -> None:
         raise ValueError(f"fit order K must be nonnegative, got {K}")
     if gmax < 2 * K + 10:
         raise ValueError("gmax must be at least 2K + 10")
+    _check_precision(precision_bits)
 
 
 def _sample_genera(gmax: int, K: int) -> range:
-    lo = gmax - max(K + 6, 2 * K)
-    return range(max(2, lo), gmax + 1)
+    # The top K+1 samples and the 5 the shifted window adds below them.
+    return range(gmax - K - 5, gmax + 1)
 
 
 def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the normalized-volume expansion at fixed n."""
-    _check_room(n, gmax, K)
+    _check_room(n, gmax, K, precision_bits)
     samples = [
         (g, normalize_vol(g, n, agn_from_series(g, n), precision_bits))
         for g in _sample_genera(gmax, K)
@@ -206,13 +184,8 @@ def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
 
 def estimate_C(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the area-constant expansion at fixed n."""
-    _check_room(n, gmax, K)
-    samples = []
-    with mp.workprec(precision_bits):
-        for g in _sample_genera(gmax, K):
-            c = sv_constant(g, n)
-            val = +(mp.mpf(c.coeff.numerator) / c.coeff.denominator / mp.pi**2)
-            samples.append((g, BigFloat(val, precision_bits)))
+    _check_room(n, gmax, K, precision_bits)
+    samples = [(g, sv_constant(g, n).to_mpf(precision_bits)) for g in _sample_genera(gmax, K)]
     return richardson_fit(samples, K, precision_bits)
 
 
@@ -361,7 +334,7 @@ def compare_report(
         raise ValueError("target must be vol, sv, or both")
     n_list = tuple(n_list)  # iterated once per target
     for n in n_list:
-        _check_room(n, gmax, K)
+        _check_room(n, gmax, K, precision_bits)
     jobs = []
     if target in ("vol", "both"):
         jobs.append(("vol", estimate_m, conjectured_m, _TOL_M))

@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Iterable, Mapping
 
-from mpmath import mpf, workprec
-
 __all__ = [
     "bernoulli",
     "double_factorial",
@@ -27,7 +25,6 @@ __all__ = [
     "laurent_dt",
     "GenusBlock",
     "BigFloat",
-    "rat_to_bigfloat",
 ]
 
 _bernoulli_cache: dict[int, Fraction] = {0: Fraction(1)}
@@ -302,11 +299,3 @@ class BigFloat:
     value: object
     precision_bits: int
 
-
-def rat_to_bigfloat(q: Fraction, bits: int = 320) -> BigFloat:
-    """Round an exact rational to a float at an explicit precision."""
-    if bits < 64:
-        raise ValueError("precision below 64 bits is rejected")
-    with workprec(bits):
-        v = mpf(q.numerator) / mpf(q.denominator)
-    return BigFloat(v, bits)

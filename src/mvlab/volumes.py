@@ -37,11 +37,18 @@ class PiScaled:
     pi_half_exponent: int
 
     def to_mpf(self, bits: int = 320) -> mp.mpf:
-        if bits < 64:
-            raise ValueError("precision below 64 bits is rejected")
+        """Round to an mpf at `bits`: the package's one exact-to-float step.
+
+        A negative exponent divides by pi^(|e|/2): multiplying by the
+        rounded pi^(e/2) instead can change the last bit.
+        """
+        _check_precision(bits)
+        e = self.pi_half_exponent
         with mp.workprec(bits):
-            return +(mp.mpf(self.coeff.numerator) / self.coeff.denominator
-                     * mp.pi ** (mp.mpf(self.pi_half_exponent) / 2))
+            val = mp.mpf(self.coeff.numerator) / self.coeff.denominator
+            if e < 0:
+                return val / mp.pi ** (mp.mpf(-e) / 2)
+            return val * mp.pi ** (mp.mpf(e) / 2)
 
     def __str__(self) -> str:
         e = self.pi_half_exponent
@@ -49,6 +56,11 @@ class PiScaled:
             return str(self.coeff)
         power = str(e // 2) if e % 2 == 0 else f"({e}/2)"
         return f"{self.coeff} * pi^{power}"
+
+
+def _check_precision(bits: int) -> None:
+    if bits < 64:
+        raise ValueError("precision below 64 bits is rejected")
 
 
 def _check_stratum(g: int, n: int) -> None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvlab import cli, genus
+from mvlab import asym, cli, genus
 from mvlab.agn import build_table, save_table
 from mvlab.cli import main, resolve_cache_dir
 from mvlab.exact import LaurentT
@@ -155,6 +155,19 @@ def test_asym_rejects_negative_n(capsys, target):
     )
     assert _one_error_line(code, out, err), (code, out, err)
     assert "no stratum" in err
+
+
+@pytest.mark.parametrize("bits", ["10", "0"])
+@pytest.mark.parametrize("target", ["vol", "sv", "both"])
+def test_asym_rejects_low_precision(capsys, monkeypatch, target, bits):
+    # rejected before the first sample is built, for every target
+    monkeypatch.setattr(asym, "agn_from_series", None)
+    monkeypatch.setattr(asym, "sv_constant", None)
+    code, out, err = run(
+        capsys, "asym", "--target", target, "--bits", bits, "--gmax", "20", "--order", "3",
+    )
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert "precision below 64 bits" in err
 
 
 def test_support_error_reports_one_line(capsys, monkeypatch):

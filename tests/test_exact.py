@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvlab.exact import (
-    BigFloat,
     GaussianRat,
     GenusBlock,
     LaurentT,
@@ -16,8 +15,8 @@ from mvlab.exact import (
     fraction_sum,
     laurent_dt,
     pochhammer,
-    rat_to_bigfloat,
 )
+from mvlab.volumes import PiScaled
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=64
@@ -257,15 +256,16 @@ def test_gaussian_arithmetic():
 @given(st.fractions(max_denominator=10**9).filter(lambda q: q != 0))
 @settings(max_examples=60)
 def test_bigfloat_round_trip(q):
-    bf = rat_to_bigfloat(q, 256)
-    assert isinstance(bf, BigFloat)
-    assert bf.precision_bits == 256
+    # PiScaled.to_mpf is the one exact-to-float step; at pi^0 it rounds q
+    v = PiScaled(q, 0).to_mpf(256)
+    assert isinstance(v, mp.mpf)
+    assert v._mpf_[3] <= 256  # mantissa bits: rounded at 256, not above
     with mp.workprec(400):
         exact = mp.mpf(q.numerator) / q.denominator
-        rel = abs(bf.value - exact) / abs(exact)
+        rel = abs(v - exact) / abs(exact)
         assert rel < mp.mpf(2) ** -250
 
 
 def test_bigfloat_rejects_low_precision():
-    with pytest.raises(ValueError):
-        rat_to_bigfloat(Fraction(1, 3), 32)
+    with pytest.raises(ValueError, match="precision below 64 bits"):
+        PiScaled(Fraction(1, 3), 0).to_mpf(32)
