@@ -8,6 +8,7 @@ routes that are required to agree exactly; see the verify module.
 from .agn import AgnTable, a_alt, a_direct, build_table, load_table, save_table
 from .asym import (
     AsymFit,
+    BigFloat,
     compare_report,
     conjectured_C,
     conjectured_m,
@@ -16,7 +17,7 @@ from .asym import (
     normalize_vol,
     richardson_fit,
 )
-from .exact import BigFloat, GaussianRat, LaurentT, bernoulli, laurent_dt
+from .exact import GaussianRat, LaurentT, bernoulli, laurent_dt
 from .funceq import verify_functional_eqs
 from .genus import (
     GenusCoeffs,

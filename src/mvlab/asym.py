@@ -6,9 +6,10 @@ out the expansion coefficients, with error bars from re-fitting on a
 shifted window. The results are compared against the conjectured
 polynomials in n and M = -pi^2/144.
 
-Everything rational is carried exactly until the single rounding into
-mpmath floats (PiScaled.to_mpf) at a caller-chosen precision; the fits
-themselves run at that same precision.
+Samples stay exact (PiScaled or rational) until richardson_fit rounds
+each one through PiScaled.to_mpf at a caller-chosen precision; the fits
+run at that precision, and every coefficient and error bar is rounded
+to it once, so a BigFloat's tag is its mantissa width.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from math import factorial
 
 import mpmath as mp
 
-from .exact import BigFloat
 from .genus import agn_from_series
 from .volumes import PiScaled, _check_precision, _check_stratum, sv_constant
 
 __all__ = [
+    "BigFloat",
     "MPoly",
     "AsymFit",
     "normalize_vol",
@@ -36,6 +37,14 @@ __all__ = [
     "CompareReport",
     "compare_report",
 ]
+
+@dataclass(frozen=True)
+class BigFloat:
+    """An mpmath float tagged with the precision it was rounded to."""
+
+    value: object
+    precision_bits: int
+
 
 @dataclass(frozen=True)
 class MPoly:
@@ -63,6 +72,8 @@ class AsymFit:
     coefficients come from exact interpolation on the top K+1 samples.
     The error estimates are coefficient-wise differences against a fit
     on a window shifted down by shift_used (zeros when no shift fits).
+    Every coefficient and error estimate is a BigFloat rounded to
+    precision_bits.
     """
 
     coefficients: tuple
@@ -73,11 +84,11 @@ class AsymFit:
     precision_bits: int
 
 
-def normalize_vol(g: int, n: int, a: Fraction, precision_bits: int = 320) -> BigFloat:
+def normalize_vol(g: int, n: int, a: Fraction) -> PiScaled:
     """r(g, n): the volume relative to its conjectured leading behavior.
 
-    Exact rational prefactor first, one rounding at the end. Tends to 1
-    as g grows at fixed n.
+    Exact: a rational times pi^(6g - 5 + 2n). Tends to 1 as g grows at
+    fixed n.
     """
     _check_stratum(g, n)
     if (g, n) == (0, 3):
@@ -88,18 +99,13 @@ def normalize_vol(g: int, n: int, a: Fraction, precision_bits: int = 320) -> Big
         * Fraction(3) ** (4 * g + n - 4)
         / (factorial(6 * g - 7 + 2 * n) * Fraction(2) ** (10 * g + 4 * n - 11))
     )
-    val = PiScaled(rat, 2 * (6 * g - 5 + 2 * n)).to_mpf(precision_bits)
-    return BigFloat(val, precision_bits)
+    return PiScaled(rat, 2 * (6 * g - 5 + 2 * n))
 
 
 def _sample_value(s, bits: int) -> mp.mpf:
-    # Never reconvert an existing mpf: mp.mpf(x) rounds to the ambient
-    # context precision, which may be far below the sample's own.
-    if isinstance(s, BigFloat):
-        return s.value
-    if isinstance(s, mp.mpf):
-        return s
-    return PiScaled(Fraction(s), 0).to_mpf(bits)
+    if not isinstance(s, PiScaled):
+        s = PiScaled(Fraction(s), 0)
+    return s.to_mpf(bits)
 
 
 def _solve_window(pts, K: int):
@@ -115,10 +121,13 @@ def _solve_window(pts, K: int):
 def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit sum_{k<=K} c_k / g^k to the top of a sampled sequence.
 
-    samples: iterable of (g, value) with distinct g; value may be a
-    BigFloat, an mpf, or an exact number that Fraction accepts. Needs at
-    least K+1 samples; the fit uses the top K+1, and error bars come
-    from sliding that window down by up to 5 samples.
+    samples: iterable of (g, value) with distinct g; value is exact: a
+    PiScaled or a number that Fraction accepts (an mpf raises TypeError).
+    Each value is rounded once, by PiScaled.to_mpf.
+    Needs at least K+1 samples; the fit uses the top K+1, and error bars
+    come from sliding that window down by up to 5 samples. The solves
+    may carry guard bits; each coefficient and bar is then rounded to
+    precision_bits, once.
     """
     if K < 0:
         raise ValueError(f"fit order K must be nonnegative, got {K}")
@@ -142,16 +151,15 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
             bars = [abs(c - a) for c, a in zip(coeffs, alt)]
         else:
             bars = [mp.mpf(0)] * (K + 1)
-
-    wrap = lambda xs: tuple(BigFloat(x, precision_bits) for x in xs)
-    return AsymFit(
-        coefficients=wrap(coeffs),
-        error_estimates=wrap(bars),
-        window=(top[0][0], top[-1][0]),
-        K=K,
-        shift_used=shift,
-        precision_bits=precision_bits,
-    )
+        wrap = lambda xs: tuple(BigFloat(+x, precision_bits) for x in xs)
+        return AsymFit(
+            coefficients=wrap(coeffs),
+            error_estimates=wrap(bars),
+            window=(top[0][0], top[-1][0]),
+            K=K,
+            shift_used=shift,
+            precision_bits=precision_bits,
+        )
 
 
 def _check_room(n: int, gmax: int, K: int, precision_bits: int) -> None:
@@ -176,8 +184,7 @@ def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the normalized-volume expansion at fixed n."""
     _check_room(n, gmax, K, precision_bits)
     samples = [
-        (g, normalize_vol(g, n, agn_from_series(g, n), precision_bits))
-        for g in _sample_genera(gmax, K)
+        (g, normalize_vol(g, n, agn_from_series(g, n))) for g in _sample_genera(gmax, K)
     ]
     return richardson_fit(samples, K, precision_bits)
 
@@ -185,7 +192,7 @@ def estimate_m(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
 def estimate_C(n: int, gmax: int, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit the area-constant expansion at fixed n."""
     _check_room(n, gmax, K, precision_bits)
-    samples = [(g, sv_constant(g, n).to_mpf(precision_bits)) for g in _sample_genera(gmax, K)]
+    samples = [(g, sv_constant(g, n)) for g in _sample_genera(gmax, K)]
     return richardson_fit(samples, K, precision_bits)
 
 

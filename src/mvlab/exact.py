@@ -24,7 +24,6 @@ __all__ = [
     "LaurentT",
     "laurent_dt",
     "GenusBlock",
-    "BigFloat",
 ]
 
 _bernoulli_cache: dict[int, Fraction] = {0: Fraction(1)}
@@ -270,9 +269,6 @@ class GenusBlock:
     log_coeff: Fraction
     laurent: LaurentT
 
-    def ddx(self) -> "GenusBlock":
-        return self.ddx_n(1)
-
     def ddx_n(self, k: int) -> "GenusBlock":
         """Apply d/dx k times in one pass; the result has no log part."""
         if k < 0:
@@ -285,17 +281,6 @@ class GenusBlock:
             lau = lau + laurent_dt(LaurentT.monomial(-2, self.log_coeff), k - 1)
         return GenusBlock(Fraction(0), lau)
 
-    def __add__(self, other: "GenusBlock") -> "GenusBlock":
-        return GenusBlock(self.log_coeff + other.log_coeff, self.laurent + other.laurent)
-
     def is_zero(self) -> bool:
         return self.log_coeff == 0 and self.laurent.is_zero()
-
-
-@dataclass(frozen=True)
-class BigFloat:
-    """An mpmath float tagged with the precision it was produced at."""
-
-    value: object
-    precision_bits: int
 

@@ -284,8 +284,8 @@ def genus_ode_residual(g: int) -> GenusBlock:
     if g < 2:
         raise ValueError("the ODE check starts at g = 2")
     blocks = {h: hg_block(h) for h in range(g + 1)}
-    d1 = blocks[g].ddx()
-    d2 = d1.ddx()
+    d1 = blocks[g].ddx_n(1)
+    d2 = d1.ddx_n(1)
     res = d2.laurent.times_x() + d1.laurent.scale(Fraction(4 * g - 3, 2))
     quad = LaurentT.zero()
     for g1 in range(g + 1):

@@ -134,17 +134,17 @@ def cg_seq(gmax: int) -> list[Fraction]:
     return c
 
 
-def _gamma_half(num2: int) -> tuple[Fraction, bool]:
-    """Gamma(num2 / 2) as (rational, carries_sqrt_pi)."""
+def _gamma_half(num2: int) -> PiScaled:
+    """Gamma(num2 / 2): a rational times pi^0 or pi^(1/2)."""
     if num2 % 2 == 0:
         if num2 < 2:
             raise ValueError("pole of Gamma")
-        return Fraction(factorial(num2 // 2 - 1)), False
+        return PiScaled(Fraction(factorial(num2 // 2 - 1)), 0)
     if num2 >= 1:
         m = (num2 - 1) // 2
-        return Fraction(double_factorial(2 * m - 1), 2**m), True
+        return PiScaled(Fraction(double_factorial(2 * m - 1), 2**m), 1)
     if num2 == -1:
-        return Fraction(-2), True
+        return PiScaled(Fraction(-2), 1)
     raise ValueError("half-integer Gamma below -1/2 not needed here")
 
 
@@ -153,9 +153,9 @@ def kappa(g: int) -> PiScaled:
     if g < 0:
         raise ValueError("g must be nonnegative")
     cg = cg_seq(g)[g]
-    gam, half = _gamma_half(5 * g - 1)
-    coeff = Fraction(64) * cg / (Fraction(384) ** g * gam)
-    return PiScaled(coeff, 12 * g - 11 - (1 if half else 0))
+    gam = _gamma_half(5 * g - 1)
+    coeff = Fraction(64) * cg / (Fraction(384) ** g * gam.coeff)
+    return PiScaled(coeff, 12 * g - 11 - gam.pi_half_exponent)
 
 
 def sv_constant(g: int, n: int) -> PiScaled:

@@ -17,22 +17,22 @@ from mvlab.asym import (
 )
 from mvlab.agn import a_direct
 from mvlab.genus import agn_from_series
+from mvlab.volumes import PiScaled, sv_constant
 
 
 def test_normalize_vol_reference_point():
-    r = normalize_vol(2, 0, Fraction(1, 96), 320)
+    # independent route: the prefactor collapses to 27/81920 * pi^7
+    r = normalize_vol(2, 0, Fraction(1, 96))
+    assert r == PiScaled(Fraction(27, 81920), 14)
     with mp.workprec(320):
-        # independent route: the prefactor collapses to 27/81920 * pi^7
-        want = mp.mpf(27) / 81920 * mp.pi**7
-        assert abs(r.value - want) < mp.mpf(2) ** -250
-        assert abs(r.value - mp.mpf("0.99545797")) < 1e-7
+        assert abs(r.to_mpf(320) - mp.mpf("0.99545797")) < 1e-7
 
 
 def test_normalize_vol_positive_and_converging():
     r11 = normalize_vol(1, 1, Fraction(1, 12))
-    assert r11.value > 0
+    assert r11.to_mpf(320) > 0
     devs = [
-        abs(normalize_vol(g, 0, agn_from_series(g, 0)).value - 1)
+        abs(normalize_vol(g, 0, agn_from_series(g, 0)).to_mpf(320) - 1)
         for g in (4, 8)
     ]
     assert devs[1] < devs[0]
@@ -44,7 +44,7 @@ def test_normalize_vol_rejections():
     with pytest.raises(ValueError):
         normalize_vol(0, 2, Fraction(0))
     with pytest.raises(ValueError):
-        normalize_vol(1, 1, Fraction(1, 12), precision_bits=32)
+        normalize_vol(1, 1, Fraction(1, 12)).to_mpf(32)
     # agn_from_series returns 0 off the strata; that must not normalize to 0
     for g, n in ((5, -1), (-1, 8), (0, -2)):
         with pytest.raises(ValueError, match="no stratum"):
@@ -98,6 +98,31 @@ def test_richardson_minimal_window_has_no_bars():
     fit = richardson_fit([(g, Fraction(1, g)) for g in (30, 31, 32)], 2)
     assert fit.shift_used == 0
     assert all(b.value == 0 for b in fit.error_estimates)
+
+
+def test_fit_floats_have_the_precision_they_are_tagged_with():
+    # The solves carry guard bits; every reported float is rounded back.
+    synthetic = [
+        (g, Fraction(1, 3) + Fraction(2, 7 * g) - Fraction(5, g**3)) for g in range(20, 31)
+    ]
+    for bits in (64, 320):
+        fits = [
+            estimate_m(0, 36, 5, bits),
+            estimate_C(0, 36, 5, bits),
+            richardson_fit(synthetic, 5, bits),
+        ]
+        for fit in fits:
+            assert fit.precision_bits == bits
+            for x in fit.coefficients + fit.error_estimates:
+                assert x.precision_bits == bits
+                assert x.value._mpf_[3] <= bits
+
+
+def test_richardson_takes_exact_samples_only():
+    samples = [(g, sv_constant(g, 0)) for g in range(26, 37)]
+    assert richardson_fit(samples, 5) == estimate_C(0, 36, 5)
+    with pytest.raises(TypeError):
+        richardson_fit([(g, mp.mpf(1) / g) for g in range(20, 26)], 2)
 
 
 def test_richardson_input_errors(monkeypatch):

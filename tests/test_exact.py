@@ -217,7 +217,7 @@ def test_genus_block_ddx_n_is_repeated_ddx(log_coeff, lau, k):
     block = GenusBlock(log_coeff, lau)
     stepped = block
     for _ in range(k):
-        stepped = stepped.ddx()
+        stepped = stepped.ddx_n(1)
     reference = block
     for _ in range(k):
         # d/dx log(1/T) = T^-2 feeds the Laurent part on the first step.
