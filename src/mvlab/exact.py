@@ -3,7 +3,8 @@
 Rationals are ``fractions.Fraction`` throughout (lowest terms, exact).
 This module adds the pieces the rest of the package leans on: Bernoulli
 numbers, double factorials, the Pochhammer symbol, Gaussian rationals,
-Laurent polynomials in the variable T together with the derivation
+Laurent polynomials in the variable T (int numerators over one
+denominator) with their weighted-sum kernel and the derivation
 D_T = d/dx acting as D_T(T^e) = -e*T^(e-2), and genus blocks that pair a
 Laurent part with a log(1/T) coefficient.
 """
@@ -22,6 +23,7 @@ __all__ = [
     "fraction_sum",
     "GaussianRat",
     "LaurentT",
+    "weighted_sum",
     "laurent_dt",
     "GenusBlock",
 ]
@@ -135,19 +137,46 @@ class GaussianRat:
 class LaurentT:
     """Finite Laurent polynomial in T with exact rational coefficients.
 
-    Immutable. Zero coefficients are never stored.
+    Immutable and dense: the coefficient of T^(lo + i) is nums[i] / den
+    for one int tuple nums and one int den > 0. The form is normal, so
+    equal values have equal fields: gcd(den, *nums) == 1, both end
+    numerators are nonzero (interior zeros are stored), and zero is
+    (lo, nums, den) = (0, (), 1).
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_lo", "_nums", "_den")
 
     def __init__(self, coeffs: Mapping[int, Fraction | int] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[int(e)] = c
-        object.__setattr__(self, "_c", clean)
+        fracs = {int(e): Fraction(c) for e, c in (coeffs or {}).items()}
+        fracs = {e: c for e, c in fracs.items() if c}
+        lo = min(fracs, default=0)
+        den = lcm(*(c.denominator for c in fracs.values()))
+        nums = [0] * (max(fracs, default=-1) - lo + 1)
+        for e, c in fracs.items():
+            nums[e - lo] = c.numerator * (den // c.denominator)
+        self._set(lo, nums, den)
+
+    def _set(self, lo: int, nums: list[int], den: int) -> None:
+        """Store sum(nums[i] * T^(lo+i)) / den, den > 0, in normal form."""
+        start, end = 0, len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        while start < end and not nums[start]:
+            start += 1
+        nums = nums[start:end]
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [n // g for n in nums]
+            den //= g
+        object.__setattr__(self, "_lo", lo + start if nums else 0)
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den if nums else 1)
+
+    @staticmethod
+    def _make(lo: int, nums: list[int], den: int) -> "LaurentT":
+        res = LaurentT.__new__(LaurentT)
+        res._set(lo, nums, den)
+        return res
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentT is immutable")
@@ -161,102 +190,114 @@ class LaurentT:
         return LaurentT()
 
     def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+        i = e - self._lo
+        if 0 <= i < len(self._nums):
+            return Fraction(self._nums[i], self._den)
+        return Fraction(0)
 
-    def items(self) -> Iterable[tuple[int, Fraction]]:
-        return self._c.items()
+    def items(self) -> list[tuple[int, Fraction]]:
+        """(exponent, coefficient) for each nonzero term, ascending."""
+        return [
+            (e, Fraction(n, self._den)) for e, n in enumerate(self._nums, self._lo) if n
+        ]
 
     def support(self) -> list[int]:
-        return sorted(self._c)
+        return [e for e, n in enumerate(self._nums, self._lo) if n]
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentT) and self._c == other._c
+        return isinstance(other, LaurentT) and (
+            self._lo, self._nums, self._den) == (other._lo, other._nums, other._den)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    @staticmethod
-    def _of(clean: dict[int, Fraction]) -> "LaurentT":
-        """Wrap a dict that already holds only nonzero Fractions."""
-        res = LaurentT.__new__(LaurentT)
-        object.__setattr__(res, "_c", clean)
-        return res
+        return hash((self._lo, self._nums, self._den))
 
     def __add__(self, other: "LaurentT") -> "LaurentT":
-        out = dict(self._c)
-        for e, c in other._c.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentT._of(out)
+        return weighted_sum(((1, self), (1, other)))
 
     def __sub__(self, other: "LaurentT") -> "LaurentT":
-        return self + (-other)
+        return weighted_sum(((1, self), (-1, other)))
 
     def __neg__(self) -> "LaurentT":
-        return self.scale(-1)
-
-    def _scaled_numerators(self) -> tuple[int, list[tuple[int, int]]]:
-        """(d, [(e, c*d)]) with d the lcm of the coefficient denominators."""
-        d = 1
-        for c in self._c.values():
-            d = lcm(d, c.denominator)
-        return d, [(e, c.numerator * (d // c.denominator)) for e, c in self._c.items()]
+        return weighted_sum(((-1, self),))
 
     def __mul__(self, other: "LaurentT") -> "LaurentT":
-        # An integer convolution over one shared denominator: no Fraction
-        # arithmetic and no gcd per pair of terms, one per output exponent.
-        da, left = self._scaled_numerators()
-        db, right = other._scaled_numerators()
-        acc: dict[int, int] = {}
-        for e1, n1 in left:
-            for e2, n2 in right:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + n1 * n2
-        den = da * db
-        return LaurentT._of({e: Fraction(v, den) for e, v in acc.items() if v})
+        # An integer convolution over the product of the two denominators,
+        # one shifted row of the longer factor per term of the shorter one,
+        # and one gcd for the result.
+        a, b = self._nums, other._nums
+        if len(a) < len(b):
+            a, b = b, a
+        acc = [0] * (len(a) + len(b) - 1) if b else []
+        for j, y in enumerate(b):
+            if y:
+                k = j + len(a)
+                acc[j:k] = [s + x * y for s, x in zip(acc[j:k], a)]
+        return LaurentT._make(self._lo + other._lo, acc, self._den * other._den)
 
     def scale(self, q: Fraction | int) -> "LaurentT":
-        q = Fraction(q)
-        if q == 0:
-            return LaurentT.zero()
-        return LaurentT._of({e: c * q for e, c in self._c.items()})
+        return weighted_sum(((Fraction(q), self),))
 
     def eval_at_one(self) -> Fraction:
         """Value at T = 1, i.e. at x = 0."""
-        return sum(self._c.values(), Fraction(0))
+        return Fraction(sum(self._nums), self._den)
 
     def times_x(self) -> "LaurentT":
         """Multiply by x = (1 - T^2)/2."""
         return (self - self * LaurentT.monomial(2)).scale(Fraction(1, 2))
 
     def __repr__(self) -> str:
-        if not self._c:
+        if not self._nums:
             return "LaurentT(0)"
-        parts = [f"({c})*T^{e}" for e, c in sorted(self._c.items())]
+        parts = [f"({c})*T^{e}" for e, c in self.items()]
         return "LaurentT(" + " + ".join(parts) + ")"
+
+
+def weighted_sum(terms: Iterable[tuple[Fraction | int, LaurentT]]) -> LaurentT:
+    """Exact sum of w * p over the pairs (w, p), w a Fraction or an int.
+
+    Each term's numerators are scaled to the lcm of the denominators
+    w.denominator * p's denominator and added as ints; the result is
+    reduced with one gcd.
+    """
+    live = [(w.numerator, w.denominator * p._den, p) for w, p in terms if w and p._nums]
+    if not live:
+        return LaurentT()
+    den = lcm(*(d for _, d, _ in live))
+    lo = min(p._lo for _, _, p in live)
+    acc = [0] * (max(p._lo + len(p._nums) for _, _, p in live) - lo)
+    for n, d, p in live:
+        m = n * (den // d)
+        i = p._lo - lo
+        k = i + len(p._nums)
+        acc[i:k] = [s + m * c for s, c in zip(acc[i:k], p._nums)]
+    return LaurentT._make(lo, acc, den)
 
 
 def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
     """Apply the derivation D_T = d/dx k times: D_T(T^e) = -e*T^(e-2).
 
     One pass: D_T^k(T^e) = (-1)^k * e(e-2)...(e-2k+2) * T^(e-2k), which
-    vanishes exactly for even 0 <= e <= 2k-2.
+    vanishes exactly for even 0 <= e <= 2k-2. The falling product f(e)
+    follows from f(e-2) by f(e) = f(e-2) * e / (e-2k), an exact division,
+    and is formed afresh only when that step has a zero. The numerators
+    keep their denominator.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     sign = -1 if k % 2 else 1
-    out: dict[int, Fraction] = {}
-    for e, c in p.items():
-        f = prod(range(e, e - 2 * k, -2))
-        if f:
-            out[e - 2 * k] = c * (sign * f)
-    return LaurentT._of(out)
+    falling: list[int] = []
+    for e in range(p._lo, p._lo + len(p._nums)):
+        f = falling[-2] if len(falling) > 1 else 0
+        if f and e - 2 * k:
+            f = f * e // (e - 2 * k)
+        else:
+            f = prod(range(e, e - 2 * k, -2))
+        falling.append(f)
+    nums = [sign * f * c for f, c in zip(falling, p._nums)]
+    return LaurentT._make(p._lo - 2 * k, nums, p._den)
 
 
 @dataclass(frozen=True)

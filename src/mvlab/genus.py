@@ -3,11 +3,12 @@
 Two independent recursions produce the genus profiles u^[g] of the second
 x-derivative of the free energy: one goes through the auxiliary profiles
 tu^[g] and a Bernoulli-weighted change of variables, the other is a
-self-contained double sum. Their agreement is a core consistency check.
-From u^[g] we extract the coefficients C_{g,j}, run an independent
-recursion for c_{g,j} = C_{g,j}*(5g-5-j)*(5g-3-j), rebuild the numbers
-a_{g,n} via a rising-factorial formula, and check the genus blocks H_g
-against a second-order ODE in x.
+self-contained quadratic recursion, summed as a Cauchy square. Their
+agreement is a core consistency check. From u^[g] we extract the
+coefficients C_{g,j}, run an independent recursion for
+c_{g,j} = C_{g,j}*(5g-5-j)*(5g-3-j), rebuild the numbers a_{g,n} via a
+rising-factorial formula, and check the genus blocks H_g against a
+second-order ODE in x.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .exact import (
     double_factorial,
     fraction_sum,
     laurent_dt,
+    weighted_sum,
 )
 
 __all__ = [
@@ -43,14 +45,16 @@ class SupportError(Exception):
     """Genus profile has a T-exponent outside its proven support."""
 
 
-def _check_support(p: LaurentT, g: int, what: str, exact: bool) -> None:
+def _check_support(p: LaurentT, g: int, what: str, width: int) -> None:
+    """Require the support of p to be exactly the exponents lo..lo+width-1."""
     if g < 2:
         return
-    lo, hi = -(5 * g - 1), -(4 * g - 1)
+    lo = -(5 * g - 1)
+    hi = lo + width - 1
     sup = p.support()
     if not sup or sup[0] < lo or sup[-1] > hi:
         raise SupportError(f"{what}[{g}] supported on {sup}, expected within [{lo},{hi}]")
-    if exact and sup != list(range(lo, hi + 1)):
+    if sup != list(range(lo, hi + 1)):
         raise SupportError(f"{what}[{g}] support {sup} is not exactly [{lo},{hi}]")
 
 
@@ -58,20 +62,25 @@ _tilde: list[LaurentT] = [LaurentT({0: 1, 1: -1})]
 
 
 def tilde_u(g: int) -> LaurentT:
-    """Profile tu^[g], by the Bernoulli-weighted genus recursion."""
+    """Profile tu^[g], by the Bernoulli-weighted genus recursion.
+
+    Its support is exactly the g exponents -(5g-1)..-4g.
+    """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     while len(_tilde) <= g:
         gg = len(_tilde)
-        acc = LaurentT.zero()
-        for g1 in range(1, gg):
-            acc = acc + _tilde[g1] * _tilde[gg - g1]
-        acc = acc.scale(Fraction(1, 2))
+        # (1/2) * sum over ordered pairs g1 + g2 = gg: each unordered pair
+        # once, the middle square at weight 1/2.
+        terms = [
+            (Fraction(1, 2) if 2 * g1 == gg else 1, _tilde[g1] * _tilde[gg - g1])
+            for g1 in range(1, gg // 2 + 1)
+        ]
         for g1 in range(1, gg + 1):
             w = abs(bernoulli(2 * g1)) / factorial(2 * g1)
-            acc = acc + laurent_dt(_tilde[gg - g1], 2 * g1).scale(w)
-        res = acc * LaurentT.monomial(-1)
-        _check_support(res, gg, "tu", exact=False)
+            terms.append((w, laurent_dt(_tilde[gg - g1], 2 * g1)))
+        res = weighted_sum(terms) * LaurentT.monomial(-1)
+        _check_support(res, gg, "tu", width=gg)
         _tilde.append(res)
     return _tilde[g]
 
@@ -84,57 +93,56 @@ def u_from_tilde(g: int) -> LaurentT:
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    acc = tilde_u(g)
+    terms = [(1, tilde_u(g))]
     for g1 in range(1, g + 1):
         w = (
             Fraction(2 ** (2 * g1 - 1) - 1, 2 ** (2 * g1 - 1))
             * abs(bernoulli(2 * g1))
             / factorial(2 * g1)
         )
-        acc = acc + laurent_dt(tilde_u(g - g1), 2 * g1).scale(w)
-    _check_support(acc, g, "u", exact=True)
+        terms.append((w, laurent_dt(tilde_u(g - g1), 2 * g1)))
+    acc = weighted_sum(terms)
+    _check_support(acc, g, "u", width=g + 1)
     return acc
 
 
 _u_direct: list[LaurentT] = [LaurentT({0: 1, 1: -1})]
-_u_direct_dt: dict[tuple[int, int], LaurentT] = {}
-
-
-def _dt_u(g: int, k: int) -> LaurentT:
-    if (g, k) not in _u_direct_dt:
-        _u_direct_dt[(g, k)] = laurent_dt(_u_direct[g], k)
-    return _u_direct_dt[(g, k)]
+# W_s = sum over h + j = s of v(j) * D_T^(2j) u^[h], v(j) = (-1/4)^j/(2j+1)!.
+_u_direct_W: list[LaurentT] = [_u_direct[0]]
 
 
 def u_direct(g: int) -> LaurentT:
-    """Profile u^[g] by the self-contained double-sum recursion.
+    """Profile u^[g] by the self-contained recursion, a Cauchy square.
 
-    The quadratic sum runs over ordered pairs (g1, g2) with
-    0 <= g1, g2 <= g-1 and derivative orders j1, j2 >= 0 satisfying
-    g1 + g2 + j1 + j2 = g, weighted by (-1/4)^(j1+j2) and odd factorials.
+    The quadratic sum runs over g1 + j1 + g2 + j2 = g with
+    0 <= g1, g2 <= g-1 and j1, j2 >= 0, at weight v(j1) * v(j2),
+    v(j) = (-1/4)^j / (2j+1)!, on D_T^(2j1) u^[g1] * D_T^(2j2) u^[g2].
+    The weight factors, so the sum is sum_{s1+s2=g} V_s1 * V_s2 with
+    V_s = W_s for s < g and V_g = W_g - u^[g], where
+    W_s = sum_{h+j=s} v(j) * D_T^(2j) u^[h] is kept once u^[s] is known:
+    about g/2 + 1 products per genus. The linear sum reads the same D_T^(2j)
+    u^[g-j], at weight (-1/4)^j / (2j)!.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     while len(_u_direct) <= g:
         gg = len(_u_direct)
-        quad = LaurentT.zero()
-        for g1 in range(gg):
-            for g2 in range(min(gg - g1, gg - 1) + 1):
-                jtot = gg - g1 - g2
-                for j1 in range(jtot + 1):
-                    j2 = jtot - j1
-                    w = Fraction(
-                        (-1) ** jtot,
-                        4**jtot * factorial(2 * j1 + 1) * factorial(2 * j2 + 1),
-                    )
-                    quad = quad + (_dt_u(g1, 2 * j1) * _dt_u(g2, 2 * j2)).scale(w)
-        lin = LaurentT.zero()
-        for j in range(1, gg + 1):
-            w = Fraction((-1) ** j, 4**j * factorial(2 * j))
-            lin = lin + _dt_u(gg - j, 2 * j).scale(w)
-        res = (quad.scale(Fraction(1, 2)) - lin) * LaurentT.monomial(-1)
-        _check_support(res, gg, "u", exact=True)
+        dts = [(j, laurent_dt(_u_direct[gg - j], 2 * j)) for j in range(1, gg + 1)]
+        v_top = weighted_sum(
+            (Fraction((-1) ** j, 4**j * factorial(2 * j + 1)), d) for j, d in dts
+        )
+        # (1/2) * quad: V_0 * V_gg, each unordered inner pair once, and
+        # the middle square at weight 1/2.
+        terms = [(1, _u_direct_W[0] * v_top)]
+        for s in range(1, gg // 2 + 1):
+            w = Fraction(1, 2) if 2 * s == gg else 1
+            terms.append((w, _u_direct_W[s] * _u_direct_W[gg - s]))
+        for j, d in dts:
+            terms.append((Fraction((-1) ** (j + 1), 4**j * factorial(2 * j)), d))
+        res = weighted_sum(terms) * LaurentT.monomial(-1)
+        _check_support(res, gg, "u", width=gg + 1)
         _u_direct.append(res)
+        _u_direct_W.append(v_top + res)
     return _u_direct[g]
 
 

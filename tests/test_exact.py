@@ -15,6 +15,7 @@ from mvlab.exact import (
     fraction_sum,
     laurent_dt,
     pochhammer,
+    weighted_sum,
 )
 from mvlab.volumes import PiScaled
 
@@ -232,7 +233,109 @@ def test_genus_block_ddx_n_is_repeated_ddx(log_coeff, lau, k):
 def test_laurent_immutable():
     p = LaurentT.monomial(1)
     with pytest.raises(AttributeError):
-        p._c = {}
+        p._nums = ()
+
+
+# A plain dict {exponent: nonzero Fraction} is the model of the dense
+# LaurentT; every operation is compared with its dict version.
+wide_exponents = st.one_of(st.integers(-30, 30), st.sampled_from([-400, 400]))
+
+
+@st.composite
+def models(draw):
+    pairs = draw(st.dictionaries(wide_exponents, rationals, max_size=6))
+    return {e: c for e, c in pairs.items() if c}, pairs
+
+
+def _model_sum(*weighted):
+    out = {}
+    for w, ref in weighted:
+        for e, c in ref.items():
+            out[e] = out.get(e, Fraction(0)) + w * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _model_mul(a, b):
+    return _model_sum(*((c, {e + f: d for f, d in b.items()}) for e, c in a.items()))
+
+
+def _model_dt(ref, k):
+    for _ in range(k):
+        ref = _model_sum(*((-e * c, {e - 2: 1}) for e, c in ref.items()))
+    return ref
+
+
+def _agrees(p, ref):
+    items = list(p.items())
+    assert items == sorted(ref.items())
+    assert all(type(c) is Fraction for _, c in items)
+    assert p.support() == sorted(ref)
+    assert p.is_zero() == (not ref)
+    assert p.eval_at_one() == sum(ref.values(), Fraction(0))
+    for e in set(ref) | {min(ref, default=0) - 1, max(ref, default=0) + 1, 0}:
+        assert p.coeff(e) == ref.get(e, 0)
+    # Normal form: the value rebuilt from the model has the same fields.
+    rebuilt = LaurentT(ref)
+    assert p == rebuilt and hash(p) == hash(rebuilt) and repr(p) == repr(rebuilt)
+    assert math.gcd(p._den, *p._nums) == 1 and p._den > 0
+    assert not p._nums or (p._nums[0] and p._nums[-1])
+
+
+def _check_ops(a, b, q, k):
+    (ra, pa), (rb, pb) = a, b
+    pa, pb = LaurentT(pa), LaurentT(pb)
+    _agrees(pa, ra)
+    _agrees(pa + pb, _model_sum((1, ra), (1, rb)))
+    _agrees(pa - pb, _model_sum((1, ra), (-1, rb)))
+    _agrees(-pa, _model_sum((-1, ra)))
+    _agrees(pa * pb, _model_mul(ra, rb))
+    _agrees(pa.scale(q), _model_sum((q, ra)))
+    _agrees(pa.scale(0), {})
+    _agrees(weighted_sum([(q, pa), (3, pb), (0, pa)]), _model_sum((q, ra), (3, rb)))
+    _agrees(laurent_dt(pa, k), _model_dt(ra, k))
+    half = Fraction(1, 2)
+    _agrees(pa.times_x(), _model_sum((half, ra), (-half, _model_mul(ra, {2: 1}))))
+
+
+@given(models(), models(), rationals, st.integers(min_value=0, max_value=8))
+@settings(max_examples=150)
+def test_dense_laurent_matches_dict_model(a, b, q, k):
+    _check_ops(a, b, q, k)
+
+
+def test_dense_laurent_wide_and_far_operands():
+    gap = {-400: Fraction(1, 3), 400: Fraction(-2, 5)}
+    far = {400: Fraction(7, 9)}
+    small = {-1: Fraction(1, 6), 0: Fraction(-3), 2: Fraction(5, 4)}
+    for a in (gap, far, small, {}):
+        for b in (gap, far, small, {}):
+            for k in (0, 1, 8):
+                _check_ops((a, a), (b, b), Fraction(-7, 12), k)
+
+
+def test_dense_laurent_normal_form():
+    # Equal values reached by different routes have equal fields.
+    p = LaurentT({-2: Fraction(1, 6), 3: Fraction(3, 4)})
+    routes = [
+        LaurentT({-2: Fraction(2, 12), 3: Fraction(6, 8), 9: 0, -5: 0}),
+        (p + p).scale(Fraction(1, 2)),
+        p.scale(6) - p.scale(5),
+        p * LaurentT.monomial(0),
+        p * LaurentT.monomial(-7, 4) * LaurentT.monomial(7, Fraction(1, 4)),
+        weighted_sum([(Fraction(1, 3), p), (Fraction(2, 3), p)]),
+        (p + LaurentT.monomial(0, 5)) - LaurentT.monomial(0, 5),
+    ]
+    for r in routes:
+        assert r == p and hash(r) == hash(p) and repr(r) == repr(p), r
+    # Zero is canonical, however it is reached.
+    zero = LaurentT.zero()
+    zeros = [
+        LaurentT(), LaurentT({5: 0}), p - p, p.scale(0), zero * p, p * zero,
+        laurent_dt(LaurentT.monomial(0), 3), weighted_sum([]), weighted_sum([(0, p)]),
+    ]
+    for z in zeros:
+        assert z == zero and hash(z) == hash(zero) and repr(z) == "LaurentT(0)"
+        assert z.support() == [] and z.items() == [] and z.eval_at_one() == 0
 
 
 gaussians = st.builds(GaussianRat, rationals, rationals)

@@ -1,10 +1,12 @@
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from mvlab import genus
 from mvlab.agn import a_direct
+from mvlab.exact import LaurentT, laurent_dt
 from mvlab.genus import (
     agn_from_series,
     closed_H,
@@ -26,8 +28,35 @@ def test_profile_support_is_exact():
 
 
 def test_two_profile_recursions_agree():
-    for g in range(2, 21):
+    for g in range(2, 37):
         assert u_direct(g) == u_from_tilde(g), g
+
+
+def _u_direct_quadruple_sum(g):
+    # The recursion of u_direct term by term: ordered (g1, j1, g2, j2)
+    # with g1 + g2 + j1 + j2 = g and 0 <= g1, g2 <= g-1.
+    quad = LaurentT.zero()
+    for g1 in range(g):
+        for g2 in range(min(g - g1, g - 1) + 1):
+            jtot = g - g1 - g2
+            for j1 in range(jtot + 1):
+                j2 = jtot - j1
+                w = Fraction(
+                    (-1) ** jtot,
+                    4**jtot * factorial(2 * j1 + 1) * factorial(2 * j2 + 1),
+                )
+                pair = laurent_dt(u_direct(g1), 2 * j1) * laurent_dt(u_direct(g2), 2 * j2)
+                quad = quad + pair.scale(w)
+    lin = LaurentT.zero()
+    for j in range(1, g + 1):
+        w = Fraction((-1) ** j, 4**j * factorial(2 * j))
+        lin = lin + laurent_dt(u_direct(g - j), 2 * j).scale(w)
+    return (quad.scale(Fraction(1, 2)) - lin) * LaurentT.monomial(-1)
+
+
+def test_cauchy_square_matches_quadruple_sum():
+    for g in range(1, 9):
+        assert u_direct(g) == _u_direct_quadruple_sum(g), g
 
 
 def test_coeffs_positive():
@@ -114,6 +143,20 @@ def test_ode_residual_range():
 
 
 def test_tilde_profiles_have_matching_width():
-    for g in range(2, 12):
-        sup = tilde_u(g).support()
-        assert len(sup) <= g + 1, g
+    # tu^[g] has exactly the g exponents -(5g-1)..-4g; u^[g] adds -(4g-1).
+    for g in range(2, 37):
+        assert tilde_u(g).support() == list(range(-(5 * g - 1), -4 * g + 1)), g
+
+
+def test_support_check_is_exact():
+    # A tu^[3] must cover -14..-12: a missing end or an extra exponent fails.
+    window = {-14: 1, -13: 2, -12: 3}
+    genus._check_support(LaurentT(window), 3, "tu", width=3)
+    with pytest.raises(genus.SupportError, match="is not exactly"):
+        genus._check_support(LaurentT({**window, -12: 0}), 3, "tu", width=3)
+    with pytest.raises(genus.SupportError, match="is not exactly"):
+        genus._check_support(LaurentT({**window, -13: 0}), 3, "tu", width=3)
+    with pytest.raises(genus.SupportError, match="expected within"):
+        genus._check_support(LaurentT({**window, -11: 1}), 3, "tu", width=3)
+    with pytest.raises(genus.SupportError, match="expected within"):
+        genus._check_support(LaurentT(), 3, "tu", width=3)
