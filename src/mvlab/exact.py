@@ -240,10 +240,6 @@ class LaurentT:
     def scale(self, q: Fraction | int) -> "LaurentT":
         return weighted_sum(((Fraction(q), self),))
 
-    def eval_at_one(self) -> Fraction:
-        """Value at T = 1, i.e. at x = 0."""
-        return Fraction(sum(self._nums), self._den)
-
     def times_x(self) -> "LaurentT":
         """Multiply by x = (1 - T^2)/2."""
         return (self - self * LaurentT.monomial(2)).scale(Fraction(1, 2))

@@ -58,52 +58,51 @@ def _check_support(p: LaurentT, g: int, what: str, width: int) -> None:
         raise SupportError(f"{what}[{g}] support {sup} is not exactly [{lo},{hi}]")
 
 
-_tilde: list[LaurentT] = [LaurentT({0: 1, 1: -1})]
+def _half_square(rows, g: int) -> list[tuple[Fraction | int, LaurentT]]:
+    """Terms of (1/2) * sum_{g1+g2=g, g1,g2>=1} rows[g1] * rows[g2].
+
+    Each unordered pair once, the middle square at weight 1/2, as
+    (weight, product) pairs for weighted_sum.
+    """
+    return [
+        (Fraction(1, 2) if 2 * g1 == g else 1, rows[g1] * rows[g - g1])
+        for g1 in range(1, g // 2 + 1)
+    ]
+
+
+# (tu^[g], u^[g]) per genus; both come from one pass over the same derivatives.
+_tower: list[tuple[LaurentT, LaurentT]] = [(LaurentT({0: 1, 1: -1}),) * 2]
 
 
 def tilde_u(g: int) -> LaurentT:
     """Profile tu^[g], by the Bernoulli-weighted genus recursion.
 
-    Its support is exactly the g exponents -(5g-1)..-4g.
+    Its support is exactly the g exponents -(5g-1)..-4g. The same pass
+    forms u^[g]: its sum reads the same D_T^(2g1) tu^[g-g1], g1 = 1..g,
+    at the weights (1 - 2^(1-2g1)) |B_2g1| / (2g1)!, so each derivative
+    is taken once.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    while len(_tilde) <= g:
-        gg = len(_tilde)
-        # (1/2) * sum over ordered pairs g1 + g2 = gg: each unordered pair
-        # once, the middle square at weight 1/2.
-        terms = [
-            (Fraction(1, 2) if 2 * g1 == gg else 1, _tilde[g1] * _tilde[gg - g1])
-            for g1 in range(1, gg // 2 + 1)
-        ]
-        for g1 in range(1, gg + 1):
-            w = abs(bernoulli(2 * g1)) / factorial(2 * g1)
-            terms.append((w, laurent_dt(_tilde[gg - g1], 2 * g1)))
-        res = weighted_sum(terms) * LaurentT.monomial(-1)
-        _check_support(res, gg, "tu", width=gg)
-        _tilde.append(res)
-    return _tilde[g]
+    while len(_tower) <= g:
+        gg = len(_tower)
+        tus = [tu for tu, _ in _tower]
+        g1s = range(1, gg + 1)
+        dts = [laurent_dt(tus[gg - g1], 2 * g1) for g1 in g1s]
+        ws = [abs(bernoulli(2 * g1)) / factorial(2 * g1) for g1 in g1s]
+        tu = weighted_sum(_half_square(tus, gg) + list(zip(ws, dts))) * LaurentT.monomial(-1)
+        _check_support(tu, gg, "tu", width=gg)
+        u_ws = [w * Fraction(4**g1 - 2, 4**g1) for g1, w in zip(g1s, ws)]
+        u = weighted_sum([(1, tu)] + list(zip(u_ws, dts)))
+        _check_support(u, gg, "u", width=gg + 1)
+        _tower.append((tu, u))
+    return _tower[g][0]
 
 
 def u_from_tilde(g: int) -> LaurentT:
-    """Profile u^[g] assembled from the tu tower.
-
-    Not memoized: its one caller in the package, coeffs_C, keeps the row
-    it reads off the profile.
-    """
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    terms = [(1, tilde_u(g))]
-    for g1 in range(1, g + 1):
-        w = (
-            Fraction(2 ** (2 * g1 - 1) - 1, 2 ** (2 * g1 - 1))
-            * abs(bernoulli(2 * g1))
-            / factorial(2 * g1)
-        )
-        terms.append((w, laurent_dt(tilde_u(g - g1), 2 * g1)))
-    acc = weighted_sum(terms)
-    _check_support(acc, g, "u", width=g + 1)
-    return acc
+    """Profile u^[g] assembled from the tu tower; tilde_u's pass keeps it."""
+    tilde_u(g)
+    return _tower[g][1]
 
 
 _u_direct: list[LaurentT] = [LaurentT({0: 1, 1: -1})]
@@ -131,12 +130,8 @@ def u_direct(g: int) -> LaurentT:
         v_top = weighted_sum(
             (Fraction((-1) ** j, 4**j * factorial(2 * j + 1)), d) for j, d in dts
         )
-        # (1/2) * quad: V_0 * V_gg, each unordered inner pair once, and
-        # the middle square at weight 1/2.
-        terms = [(1, _u_direct_W[0] * v_top)]
-        for s in range(1, gg // 2 + 1):
-            w = Fraction(1, 2) if 2 * s == gg else 1
-            terms.append((w, _u_direct_W[s] * _u_direct_W[gg - s]))
+        # (1/2) * quad: V_0 * V_gg, then the inner pairs of W.
+        terms = [(1, _u_direct_W[0] * v_top)] + _half_square(_u_direct_W, gg)
         for j, d in dts:
             terms.append((Fraction((-1) ** (j + 1), 4**j * factorial(2 * j)), d))
         res = weighted_sum(terms) * LaurentT.monomial(-1)
@@ -175,13 +170,16 @@ def coeffs_C(g: int) -> GenusCoeffs:
     return _rows[g]
 
 
-_kaz_rows: dict[int, tuple[Fraction, ...]] = {1: (Fraction(1, 12), Fraction(1, 24))}
+# Row c_{g,j} of kazarian_c as a polynomial in y, with c_{g,j} at y^j.
+_kaz_rows: dict[int, LaurentT] = {1: LaurentT({0: Fraction(1, 12), 1: Fraction(1, 24)})}
 
 
 def kazarian_c(g: int) -> tuple[Fraction, ...]:
     """Row c_{g,j}, j = 0..g, of the quadratic genus recursion.
 
     Seeded at g = 1 with (1/12, 1/24), the two coefficients of u^[1].
+    The convolution (1/2) sum_{g1+g2=g} c_{g1,j1} c_{g2,j2} over
+    j1 + j2 = j is a Cauchy square of the rows as polynomials in y.
     The linear-in-row factor is (g+1-j)/(5g-2-j) acting on c_{g,j-1}.
     """
     if g < 1:
@@ -189,25 +187,18 @@ def kazarian_c(g: int) -> tuple[Fraction, ...]:
     for gg in range(2, g + 1):
         if gg in _kaz_rows:
             continue
+        conv = weighted_sum(_half_square(_kaz_rows, gg))
         prev = _kaz_rows[gg - 1]
-        row: list[Fraction] = []
+        row, c = {}, Fraction(0)
         for j in range(gg + 1):
-            t = Fraction(0)
-            if j >= 1:
-                t += Fraction(gg + 1 - j, 5 * gg - 2 - j) * row[j - 1]
-            if j <= gg - 1:
-                t += Fraction((5 * gg - 6 - j) * (5 * gg - 4 - j), 12) * prev[j]
-            conv = Fraction(0)
-            for g1 in range(1, gg):
-                g2 = gg - g1
-                r1, r2 = _kaz_rows[g1], _kaz_rows[g2]
-                for j1 in range(j + 1):
-                    j2 = j - j1
-                    if j1 <= g1 and j2 <= g2:
-                        conv += r1[j1] * r2[j2]
-            row.append(t + conv / 2)
-        _kaz_rows[gg] = tuple(row)
-    return _kaz_rows[g]
+            c = (
+                Fraction(gg + 1 - j, 5 * gg - 2 - j) * c
+                + Fraction((5 * gg - 6 - j) * (5 * gg - 4 - j), 12) * prev.coeff(j)
+                + conv.coeff(j)
+            )
+            row[j] = c
+        _kaz_rows[gg] = LaurentT(row)
+    return tuple(_kaz_rows[g].coeff(j) for j in range(g + 1))
 
 
 def _is_structural_zero(g: int, n: int) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from mvlab import asym, cli, genus
 from mvlab.agn import build_table, save_table
 from mvlab.cli import main, resolve_cache_dir
-from mvlab.exact import LaurentT
 from mvlab.verify import VerifyCase, VerifyResult
 
 
@@ -171,13 +171,14 @@ def test_asym_rejects_low_precision(capsys, monkeypatch, target, bits):
 
 
 def test_support_error_reports_one_line(capsys, monkeypatch):
-    # Remove one interior coefficient of u^[3] through its tu input, so
-    # that the recomputed profile fails the exact-support check.
+    # Scale tu^[2] so that the interior coefficient of tu^[3] at T^-13
+    # cancels; the pass that builds genus 3 then fails the exact-support check.
     g = 3
-    tower = [genus.tilde_u(h) for h in range(g + 1)]
-    hole = -(5 * g - 2)
-    tower[g] = tower[g] - LaurentT.monomial(hole, genus.u_from_tilde(g).coeff(hole))
-    monkeypatch.setattr(genus, "_tilde", tower)
+    genus.tilde_u(g - 1)
+    tower = genus._tower[:g]
+    tu, u = tower[g - 1]
+    tower[g - 1] = (tu.scale(1 - Fraction(209, 81)), u)
+    monkeypatch.setattr(genus, "_tower", tower)
     monkeypatch.setattr(genus, "_rows", {})
     code, out, err = run(capsys, "genus", "--g", str(g))
     assert _one_error_line(code, out, err), (code, out, err)

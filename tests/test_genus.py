@@ -71,11 +71,60 @@ def test_coeffs_rejects_low_genus():
 
 def test_quadratic_row_recursion_matches_profiles():
     assert kazarian_c(1) == (Fraction(1, 12), Fraction(1, 24))
-    for g in range(2, 21):
+    for g in range(2, 81):
         row = kazarian_c(g)
         C = coeffs_C(g).C
         for j in range(g + 1):
             assert row[j] == C[j] * (5 * g - 5 - j) * (5 * g - 3 - j), (g, j)
+
+
+def _kazarian_term_by_term(gmax):
+    # The row recursion of kazarian_c one Fraction at a time: the ordered
+    # convolution over g1 + g2 = g and j1 + j2 = j, halved.
+    rows = {1: (Fraction(1, 12), Fraction(1, 24))}
+    for g in range(2, gmax + 1):
+        prev, row = rows[g - 1], []
+        for j in range(g + 1):
+            t = Fraction(0)
+            if j >= 1:
+                t += Fraction(g + 1 - j, 5 * g - 2 - j) * row[j - 1]
+            if j <= g - 1:
+                t += Fraction((5 * g - 6 - j) * (5 * g - 4 - j), 12) * prev[j]
+            conv = Fraction(0)
+            for g1 in range(1, g):
+                r1, r2 = rows[g1], rows[g - g1]
+                for j1 in range(j + 1):
+                    if j1 <= g1 and j - j1 <= g - g1:
+                        conv += r1[j1] * r2[j - j1]
+            row.append(t + conv / 2)
+        rows[g] = tuple(row)
+    return rows
+
+
+def test_dense_rows_match_term_by_term_recursion():
+    for g, row in _kazarian_term_by_term(12).items():
+        assert kazarian_c(g) == row, g
+        assert all(type(c) is Fraction for c in kazarian_c(g)), g
+
+
+def test_tower_takes_each_derivative_once(monkeypatch):
+    # One pass per genus feeds both the tu^[g] and the u^[g] sum, so
+    # genus g applies D_T^(2g1) to tu^[g-g1] once for each g1 = 1..g.
+    monkeypatch.setattr(genus, "_tower", genus._tower[:1])
+    calls = []
+    dt = genus.laurent_dt
+
+    def counted(p, k=1):
+        calls.append(k)
+        return dt(p, k)
+
+    monkeypatch.setattr(genus, "laurent_dt", counted)
+    for h in range(13):
+        u_from_tilde(h)
+    assert len(calls) == 12 * 13 // 2
+    for h in range(13):
+        tilde_u(h)
+    assert len(calls) == 78
 
 
 def test_series_closed_forms_low_genus():
@@ -112,10 +161,15 @@ def test_series_rows_are_built_once(monkeypatch):
     assert built == {2: 1, 5: 1, 9: 1}
 
 
+def _at_one(p):
+    # Value of a Laurent polynomial in T at T = 1, i.e. at x = 0.
+    return sum((c for _, c in p.items()), Fraction(0))
+
+
 def test_closed_blocks_vanish_or_match_at_one():
-    assert closed_H(0).laurent.eval_at_one() == 0
-    assert closed_H(1).laurent.eval_at_one() == 0
-    assert closed_H(2).laurent.eval_at_one() == Fraction(1, 96)
+    assert _at_one(closed_H(0).laurent) == 0
+    assert _at_one(closed_H(1).laurent) == 0
+    assert _at_one(closed_H(2).laurent) == Fraction(1, 96)
 
 
 def test_closed_blocks_generate_the_table():
@@ -123,7 +177,7 @@ def test_closed_blocks_generate_the_table():
     # matters through its derivative, and log(1/T) itself dies at T = 1.
     for g in range(3):
         for n in range(9):
-            got = closed_H(g).ddx_n(n).laurent.eval_at_one()
+            got = _at_one(closed_H(g).ddx_n(n).laurent)
             assert got == a_direct(g, n), (g, n)
 
 
