@@ -2,19 +2,27 @@
 
 Both recursions determine the same numbers. The first steps down in n
 through a binomially weighted quadratic term, the second is an
-alternating-sign convolution. They share no code path, which is the
-point: exact agreement between them (and the series reconstruction in
-:mod:`mvlab.genus`) is the package's main internal evidence.
+alternating-sign convolution. They share no recursion step, only the
+exact sum kernels, which is the point: exact agreement between them
+(and the series reconstruction in :mod:`mvlab.genus`) is the package's
+main internal evidence.
+
+Both quadratic terms are Cauchy coefficients of exponential rows, one
+row per genus: the binomial weight comb(n-1, n1-2) is (n-1)!/(k1! k2!),
+and the convolution kernel P_{g,nu} carries its 1/nu!. Each row is a
+``DenseRow`` (int numerators over one denominator) that grows as its
+genus's cells are filled, so a cell's quadratic sum is one integer dot
+product per unordered genus pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from pathlib import Path
 
-from .exact import fraction_sum
+from .exact import DenseRow, cauchy_coeff, fraction_sum
 from .genus import _is_structural_zero, agn_from_series
 
 __all__ = [
@@ -33,26 +41,30 @@ _BOUNDARY = {(0, 3): Fraction(1), (0, 4): Fraction(1)}
 
 
 _direct: dict[tuple[int, int], Fraction] = dict(_BOUNDARY)
+# Row g holds b_{g,k} = a_{g,k+2}/k! for k = 0, 1, ..., except that the
+# entry of a_{0,3} is 0: the recursion leaves out every product with it.
+_direct_rows: list[DenseRow] = []
+
+
+def _quad_terms(rows: list[DenseRow], g: int, k: int, scale: int, denom: int):
+    """(scale/(2*denom)) * sum_{g1+g2=g} [t^k] rows[g1]*rows[g2], as int pairs.
+
+    Each unordered pair g1 <= g2 once, at weight 2 off the middle.
+    """
+    terms = []
+    for g1 in range(g // 2 + 1):
+        num, den = cauchy_coeff(rows[g1], rows[g - g1], k)
+        terms.append(((1 if 2 * g1 == g else 2) * scale * num, 2 * denom * den))
+    return terms
 
 
 def _direct_cell(g: int, n: int) -> Fraction:
-    # quad/2 + top/12 over 4g-4+n, summed as integer pairs
-    # (numerator product, denominator product) over one shared denominator.
+    # (quad/2 + top/12) / (4g-4+n). quad/2 is (n-1)!/2 times the Cauchy
+    # coefficient at n-1 of the rows of g1 and g - g1. The entries n' >= n
+    # of row g, not filled yet, would pair only with the zeros b_{0,0}
+    # and b_{0,1}.
     denom = 4 * g - 4 + n
-    terms = []
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for n1 in range(2, n + 2):
-            n2 = n + 3 - n1
-            if (g1, n1) == (0, 3) or (g2, n2) == (0, 3):
-                continue
-            if _is_structural_zero(g1, n1) or _is_structural_zero(g2, n2):
-                continue
-            a1, a2 = _direct[(g1, n1)], _direct[(g2, n2)]
-            terms.append((
-                comb(n - 1, n1 - 2) * a1.numerator * a2.numerator,
-                2 * denom * a1.denominator * a2.denominator,
-            ))
+    terms = _quad_terms(_direct_rows, g, n - 1, factorial(n - 1), denom)
     if g:
         top = _direct[(g - 1, n + 3)]
         terms.append((top.numerator, 12 * denom * top.denominator))
@@ -63,10 +75,11 @@ def a_direct(g: int, n: int) -> Fraction:
     """a_{g,n} by the binomial recursion in n.
 
     Valid for every (g, n); out-of-domain pairs are zero by convention.
-    Cells are filled bottom-up and the recursion never reaches n = 0,
-    so the n = 0 column at g >= 2 is delegated to the genus-series
-    reconstruction (the one spot where this path leans on another
-    module; the alternating recursion has the same blind spot).
+    Cells are filled bottom-up, each genus's row in order of n, and the
+    recursion never reaches n = 0, so the n = 0 column at g >= 2 is
+    delegated to the genus-series reconstruction (the one spot where
+    this path leans on another module; the alternating recursion has
+    the same blind spot).
     """
     if _is_structural_zero(g, n):
         return Fraction(0)
@@ -75,19 +88,28 @@ def a_direct(g: int, n: int) -> Fraction:
         if n == 0:
             _direct[key] = agn_from_series(g, 0)
         else:
-            # Fill bottom-up: the cell (g, n) pulls in (g', n') with
-            # g' <= g and 2 <= n' <= n + 3*(g - g').
+            # The cell (g, n) reads (g', n') with g' <= g and
+            # 2 <= n' <= n + 3*(g - g'): the first n' - 1 entries of row g'.
+            while len(_direct_rows) <= g:
+                _direct_rows.append(DenseRow())
             for gg in range(g + 1):
-                for nn in range(2, n + 3 * (g - gg) + 1):
-                    if (gg, nn) not in _direct and not _is_structural_zero(gg, nn):
+                row = _direct_rows[gg]
+                while len(row) < n + 3 * (g - gg) - 1:
+                    nn = len(row) + 2
+                    if _is_structural_zero(gg, nn) or (gg, nn) == (0, 3):
+                        row.append(Fraction(0))
+                        continue
+                    if (gg, nn) not in _direct:
                         _direct[(gg, nn)] = _direct_cell(gg, nn)
-            if key not in _direct:  # n = 1 lies below the filled range
+                    row.append(_direct[(gg, nn)] / factorial(nn - 2))
+            if key not in _direct:  # n = 1 lies below the rows
                 _direct[key] = _direct_cell(g, n)
     return _direct[key]
 
 
 _alt: dict[tuple[int, int], Fraction] = {}
-_alt_P: dict[tuple[int, int], Fraction] = {}
+# Row g holds the convolution kernel P_{g,nu} for nu = 0, 1, ...
+_alt_rows: list[DenseRow] = []
 
 
 def _alt_P_at(gam: int, nu: int) -> Fraction:
@@ -95,8 +117,6 @@ def _alt_P_at(gam: int, nu: int) -> Fraction:
 
     The weights are w_j = (-1)^j / (4^j (2j+1)!).
     """
-    if (gam, nu) in _alt_P:
-        return _alt_P[(gam, nu)]
     nu_fact = factorial(nu)
     terms = []
     for j in range(gam + 1):
@@ -107,32 +127,17 @@ def _alt_P_at(gam: int, nu: int) -> Fraction:
             (-1) ** j * a.numerator,
             nu_fact * 4**j * factorial(2 * j + 1) * a.denominator,
         ))
-    tot = fraction_sum(terms)
-    _alt_P[(gam, nu)] = tot
-    return tot
+    return fraction_sum(terms)
 
 
 def _alt_cell(g: int, n: int) -> Fraction:
     # (q!/2) * conv(P, P) - sum_j v_j a_{g-j, q+2j+2}, plus 1 at (0, 3),
-    # with v_j = (-1)^j / (4^j (2j)!), summed as integer pairs over one
-    # shared denominator.
+    # with v_j = (-1)^j / (4^j (2j)!). conv is the Cauchy coefficient at q
+    # of the rows of g1 and g - g1. The row of g holds only nu < q here;
+    # P_{g,q} reads the cell being computed, and its partner is
+    # P_{0,0} = a_{0,2} = 0.
     q = n - 2
-    q_fact = factorial(q)
-    terms = []
-    for g1 in range(g + 1):
-        for nu1 in range(q + 1):
-            # P_{g,q} reads the cell being computed; its partner here is
-            # P_{0,0} = a_{0,2} = 0, so both such pairs are skipped.
-            if (g1, nu1) in ((0, 0), (g, q)):
-                continue
-            left = _alt_P_at(g1, nu1)
-            if not left:
-                continue
-            right = _alt_P_at(g - g1, q - nu1)
-            terms.append((
-                q_fact * left.numerator * right.numerator,
-                2 * left.denominator * right.denominator,
-            ))
+    terms = _quad_terms(_alt_rows, g, q, factorial(q), 1)
     for j in range(1, g + 1):
         if _is_structural_zero(g - j, q + 2 * j + 2):
             continue
@@ -148,19 +153,25 @@ def a_alt(g: int, n: int) -> Fraction:
 
     Terms whose implicit factorial argument would go negative are
     skipped. The n < 2 columns are out of this recursion's domain.
+    Cells are filled bottom-up, each genus's row of P_{g,nu} in order
+    of nu = n - 2.
     """
     if n < 2:
         raise ValueError("a_alt is defined for n >= 2")
     if _is_structural_zero(g, n):
         return Fraction(0)
     if (g, n) not in _alt:
-        # Fill bottom-up: the cell (g, n) pulls in (g', n') with
-        # g' <= g and n' <= n + 2*(g - g').
+        # The cell (g, n) reads (g', n') with g' <= g and
+        # n' <= n + 2*(g - g'): the first n' - 1 entries of row g'.
+        while len(_alt_rows) <= g:
+            _alt_rows.append(DenseRow())
         for gg in range(g + 1):
-            for nn in range(2, n + 2 * (g - gg) + 1):
-                if _is_structural_zero(gg, nn) or (gg, nn) in _alt:
-                    continue
-                _alt[(gg, nn)] = _alt_cell(gg, nn)
+            row = _alt_rows[gg]
+            while len(row) < n + 2 * (g - gg) - 1:
+                nn = len(row) + 2
+                if not _is_structural_zero(gg, nn):
+                    _alt[(gg, nn)] = _alt_cell(gg, nn)
+                row.append(_alt_P_at(gg, nn - 2))
     return _alt[(g, n)]
 
 

@@ -3,8 +3,9 @@
 Rationals are ``fractions.Fraction`` throughout (lowest terms, exact).
 This module adds the pieces the rest of the package leans on: Bernoulli
 numbers, double factorials, the Pochhammer symbol, Gaussian rationals,
-Laurent polynomials in the variable T (int numerators over one
-denominator) with their weighted-sum kernel and the derivation
+growing rows of rationals over one denominator with their Cauchy
+coefficient, Laurent polynomials in the variable T (int numerators over
+one denominator) with their weighted-sum kernel and the derivation
 D_T = d/dx acting as D_T(T^e) = -e*T^(e-2), and genus blocks that pair a
 Laurent part with a log(1/T) coefficient.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -21,6 +23,8 @@ __all__ = [
     "double_factorial",
     "pochhammer",
     "fraction_sum",
+    "DenseRow",
+    "cauchy_coeff",
     "GaussianRat",
     "LaurentT",
     "weighted_sum",
@@ -92,6 +96,46 @@ def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
         else:
             num += n * q
     return Fraction(num, den)
+
+
+class DenseRow:
+    """A growing row of rationals: int numerators over one shared denominator.
+
+    Entry k is nums[k] / den. Appending a reduced Fraction rescales the
+    row only when the entry's denominator does not divide den, so den
+    is the lcm of the appended denominators.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self) -> None:
+        self.nums: list[int] = []
+        self.den = 1
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def append(self, v: Fraction) -> None:
+        q, r = divmod(self.den, v.denominator)
+        if r:
+            den = lcm(self.den, v.denominator)
+            s = den // self.den
+            self.nums = [c * s for c in self.nums]
+            self.den = den
+            q = den // v.denominator
+        self.nums.append(v.numerator * q)
+
+
+def cauchy_coeff(x: DenseRow, y: DenseRow, k: int) -> tuple[int, int]:
+    """Coefficient of t^k in (sum x_i t^i) * (sum y_j t^j), k >= 0.
+
+    Entries past either row's end count as zero. Returned as the integer
+    pair (numerator, x.den * y.den): one dot product of int slices.
+    """
+    lo = max(0, k - len(y) + 1)
+    hi = min(k, len(x) - 1)
+    num = sum(map(mul, x.nums[lo:hi + 1], reversed(y.nums[k - hi:k - lo + 1])))
+    return num, x.den * y.den
 
 
 @dataclass(frozen=True)

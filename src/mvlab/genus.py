@@ -282,15 +282,14 @@ def genus_ode_residual(g: int) -> GenusBlock:
     """
     if g < 2:
         raise ValueError("the ODE check starts at g = 2")
-    blocks = {h: hg_block(h) for h in range(g + 1)}
-    d1 = blocks[g].ddx_n(1)
-    d2 = d1.ddx_n(1)
-    res = d2.laurent.times_x() + d1.laurent.scale(Fraction(4 * g - 3, 2))
-    quad = LaurentT.zero()
-    for g1 in range(g + 1):
-        a = blocks[g1].ddx_n(2).laurent
-        b = blocks[g - g1].ddx_n(2).laurent
-        quad = quad + a * b
-    res = res - quad.scale(Fraction(1, 4))
-    res = res - blocks[g - 1].ddx_n(4).laurent.scale(Fraction(1, 24))
+    blocks = [hg_block(h) for h in range(g + 1)]
+    d2 = [b.ddx_n(2).laurent for b in blocks]
+    # (1/4) * sum over g1 + g2 = g is half of H_0''*H_g'' plus the inner pairs.
+    quad = weighted_sum([(1, d2[0] * d2[g])] + _half_square(d2, g))
+    res = weighted_sum([
+        (1, d2[g].times_x()),
+        (Fraction(4 * g - 3, 2), blocks[g].ddx_n(1).laurent),
+        (Fraction(-1, 2), quad),
+        (Fraction(-1, 24), blocks[g - 1].ddx_n(4).laurent),
+    ])
     return GenusBlock(Fraction(0), res)

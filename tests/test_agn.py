@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import mvlab
 
+from mvlab import agn
 from mvlab.agn import (
     TableFormatError,
     a_alt,
@@ -17,8 +19,8 @@ from mvlab.agn import (
     load_table,
     save_table,
 )
-from mvlab.exact import double_factorial
-from mvlab.genus import agn_from_series
+from mvlab.exact import double_factorial, fraction_sum
+from mvlab.genus import _is_structural_zero, agn_from_series
 from mvlab.verify import GOLDEN_TABLE1
 
 
@@ -170,6 +172,168 @@ def test_cold_direct_fill_needs_no_recursion_depth():
         "from mvlab.agn import a_direct\n"
         "sys.setrecursionlimit(150)\n"
         "print(a_direct(0, 300) > 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
+def _direct_term_by_term(gmax, nmax):
+    # The binomial recursion one (g1, n1) term at a time, with its own
+    # store: (4g-4+n) a(g,n) = quad/2 + a(g-1, n+3)/12, where quad sums
+    # comb(n-1, n1-2) a(g1,n1) a(g2,n2) over g1 + g2 = g and
+    # n1 + n2 = n + 3, leaving out every product with a(0,3).
+    a = {(0, 3): Fraction(1), (0, 4): Fraction(1)}
+
+    def cell(g, n):
+        denom = 4 * g - 4 + n
+        terms = []
+        for g1 in range(g + 1):
+            g2 = g - g1
+            for n1 in range(2, n + 2):
+                n2 = n + 3 - n1
+                if (g1, n1) == (0, 3) or (g2, n2) == (0, 3):
+                    continue
+                if _is_structural_zero(g1, n1) or _is_structural_zero(g2, n2):
+                    continue
+                a1, a2 = a[(g1, n1)], a[(g2, n2)]
+                terms.append((
+                    math.comb(n - 1, n1 - 2) * a1.numerator * a2.numerator,
+                    2 * denom * a1.denominator * a2.denominator,
+                ))
+        if g:
+            top = a[(g - 1, n + 3)]
+            terms.append((top.numerator, 12 * denom * top.denominator))
+        return fraction_sum(terms)
+
+    for g in range(gmax + 1):
+        for n in range(1, nmax + 3 * (gmax - g) + 1):
+            if (g, n) not in a and not _is_structural_zero(g, n):
+                a[(g, n)] = cell(g, n)
+    return a
+
+
+def _alt_term_by_term(gmax, nmax):
+    # The alternating recursion one (g1, nu1) pair at a time, with its own
+    # stores: a(g,n) = (q!/2) sum P(g1,nu1) P(g2,nu2) over g1 + g2 = g and
+    # nu1 + nu2 = q = n - 2, minus sum_j v_j a(g-j, q+2j+2), plus 1 at
+    # (0, 3), where P(gam,nu) = (1/nu!) sum_j w_j a(gam-j, nu+2j+2).
+    a, P = {}, {}
+
+    def kernel(gam, nu):
+        if (gam, nu) not in P:
+            terms = []
+            for j in range(gam + 1):
+                if _is_structural_zero(gam - j, nu + 2 * j + 2):
+                    continue
+                v = a[(gam - j, nu + 2 * j + 2)]
+                terms.append((
+                    (-1) ** j * v.numerator,
+                    math.factorial(nu) * 4**j * math.factorial(2 * j + 1) * v.denominator,
+                ))
+            P[(gam, nu)] = fraction_sum(terms)
+        return P[(gam, nu)]
+
+    def cell(g, n):
+        q = n - 2
+        terms = []
+        for g1 in range(g + 1):
+            for nu1 in range(q + 1):
+                if (g1, nu1) in ((0, 0), (g, q)):  # partner P(0,0) = 0
+                    continue
+                left, right = kernel(g1, nu1), kernel(g - g1, q - nu1)
+                terms.append((
+                    math.factorial(q) * left.numerator * right.numerator,
+                    2 * left.denominator * right.denominator,
+                ))
+        for j in range(1, g + 1):
+            v = a[(g - j, q + 2 * j + 2)]
+            terms.append((
+                (-1) ** (j + 1) * v.numerator, 4**j * math.factorial(2 * j) * v.denominator
+            ))
+        if (g, n) == (0, 3):
+            terms.append((1, 1))
+        return fraction_sum(terms)
+
+    for g in range(gmax + 1):
+        for n in range(2, nmax + 2 * (gmax - g) + 1):
+            if not _is_structural_zero(g, n):
+                a[(g, n)] = cell(g, n)
+            kernel(g, n - 2)
+    return a, P
+
+
+def test_rows_match_term_by_term_recursions(monkeypatch):
+    # From cold stores, the row kernels give exactly the cells of the
+    # per-term loops, for g <= 10 and n <= 30.
+    monkeypatch.setattr(agn, "_direct", dict(agn._BOUNDARY))
+    monkeypatch.setattr(agn, "_direct_rows", [])
+    monkeypatch.setattr(agn, "_alt", {})
+    monkeypatch.setattr(agn, "_alt_rows", [])
+    direct, (alt, P) = _direct_term_by_term(10, 30), _alt_term_by_term(10, 30)
+    for g in range(11):
+        for n in range(1, 31):
+            if _is_structural_zero(g, n):
+                continue
+            assert a_direct(g, n) == direct[(g, n)], (g, n)
+            if n >= 2:
+                assert a_alt(g, n) == alt[(g, n)], (g, n)
+    # The direct row holds a(g, k+2)/k!, with 0 for the left-out a(0,3);
+    # the alternating row holds P(g, nu), with its 1/nu!.
+    for g, row in enumerate(agn._direct_rows):
+        for k, c in enumerate(row.nums):
+            want = 0 if (g, k) in ((0, 0), (0, 1)) else direct[(g, k + 2)] / math.factorial(k)
+            assert Fraction(c, row.den) == want, (g, k)
+    for g, row in enumerate(agn._alt_rows):
+        for nu, c in enumerate(row.nums):
+            assert Fraction(c, row.den) == P[(g, nu)], (g, nu)
+    assert len(agn._direct_rows[0]) == 59 and len(agn._alt_rows[0]) == 49
+
+
+_STORE_DUMP = (
+    "import json, sys\n"
+    "from mvlab import agn\n"
+    "for route, g, n in json.loads(sys.argv[1]):\n"
+    "    (agn.a_direct if route == 'direct' else agn.a_alt)(g, n)\n"
+    "print(json.dumps({name: sorted([g, n, str(v)] for (g, n), v in store.items())\n"
+    "                  for name, store in (('direct', agn._direct), ('alt', agn._alt))}))\n"
+)
+
+
+def _fresh_store_dump(calls):
+    env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STORE_DUMP, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_scrambled_calls_fill_the_same_cells_as_a_sweep():
+    # A fresh interpreter asks for cells out of order, so rows are
+    # extended part-way by one call and finished by a later one. Every
+    # cell it stores must equal the one an in-order sweep (a second fresh
+    # interpreter, g then n ascending) computes.
+    order = [(6, 1), (0, 50), (3, 20), (12, 0), (2, 2), (8, 30)]
+    calls = [["direct", g, n] for g, n in order]
+    calls += [["alt", g, n] for g, n in order if n >= 2]
+    scrambled = _fresh_store_dump(calls)
+    cells = sorted({(g, n, route) for route, store in scrambled.items() for g, n, _ in store})
+    swept = _fresh_store_dump([[route, g, n] for g, n, route in cells])
+    assert (len(scrambled["direct"]), len(scrambled["alt"])) == (370, 336)
+    assert scrambled == swept
+
+
+def test_cold_routes_agree_at_deep_n():
+    # n = 400 at genus 2: rows of 400+ entries, in a fresh interpreter.
+    code = (
+        "from mvlab.agn import a_alt, a_direct\n"
+        "from mvlab.genus import agn_from_series\n"
+        "print(a_direct(2, 400) == a_alt(2, 400) == agn_from_series(2, 400))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
     proc = subprocess.run(

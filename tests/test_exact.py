@@ -12,6 +12,8 @@ from mvlab.exact import (
     LaurentT,
     bernoulli,
     double_factorial,
+    DenseRow,
+    cauchy_coeff,
     fraction_sum,
     laurent_dt,
     pochhammer,
@@ -101,6 +103,49 @@ def test_fraction_sum_edge_cases():
     big = 2**127 - 1  # prime, shares no factor with the small denominators
     terms = [(7, big), (-1, 3), (2, big * 5), (1, 3)]
     assert fraction_sum(terms) == Fraction(37, 5 * big)
+
+
+# Rows of reduced fractions: zero entries, small denominators that
+# divide the running one, and ~100-bit ones that force a rescale.
+row_entries = st.lists(
+    st.builds(
+        Fraction,
+        st.one_of(st.just(0), st.integers(-(2**120), 2**120)),
+        st.one_of(st.integers(1, 12), st.integers(2**96, 2**100)),
+    ),
+    max_size=10,
+)
+
+
+def _row(entries):
+    row = DenseRow()
+    for v in entries:
+        row.append(v)
+    return row
+
+
+@given(row_entries, row_entries, st.integers(0, 24))
+@example([], [], 0)
+@example([Fraction(0)], [Fraction(1, 3)], 1)
+@example([Fraction(1, 2), Fraction(1, 4)], [Fraction(5, 2**97 + 1)], 1)
+@example([Fraction(1, 6), Fraction(1, 3), Fraction(1, 4), Fraction(0)], [Fraction(1, 6)] * 3, 2)
+@settings(max_examples=150)
+def test_dense_row_matches_fraction_model(xs, ys, k):
+    x, y = _row(xs), _row(ys)
+    # Append and rescale: every entry reads back, over one denominator
+    # that is the lcm of the appended ones.
+    assert len(x) == len(xs) and [Fraction(c, x.den) for c in x.nums] == xs
+    assert x.den == math.lcm(1, *(v.denominator for v in xs))
+    assert type(x.den) is int and all(type(c) is int for c in x.nums)
+    # The Cauchy coefficient, entries past either row's end being zero;
+    # k runs past both ends.
+    model = sum(
+        (xs[i] * ys[k - i] for i in range(k + 1) if i < len(xs) and k - i < len(ys)),
+        Fraction(0),
+    )
+    num, den = cauchy_coeff(x, y, k)
+    assert type(num) is int and den == x.den * y.den
+    assert Fraction(num, den) == model
 
 
 @given(laurents(), laurents(), laurents())

@@ -6,7 +6,7 @@ import pytest
 
 from mvlab import genus
 from mvlab.agn import a_direct
-from mvlab.exact import LaurentT, laurent_dt
+from mvlab.exact import GenusBlock, LaurentT, laurent_dt
 from mvlab.genus import (
     agn_from_series,
     closed_H,
@@ -189,6 +189,36 @@ def test_closed_block_range():
 def test_ode_residual_vanishes():
     for g in range(2, 11):
         assert genus_ode_residual(g).is_zero(), g
+
+
+def test_ode_residual_builds_each_second_derivative_once(monkeypatch):
+    # One list of H_h'', h = 0..g, feeds both the x*H_g'' term and the
+    # quadratic sum H_0''*H_g'' plus the inner pairs.
+    calls = Counter()
+    ddx_n = GenusBlock.ddx_n
+
+    def counted(self, k):
+        calls[k] += 1
+        return ddx_n(self, k)
+
+    monkeypatch.setattr(GenusBlock, "ddx_n", counted)
+    assert genus_ode_residual(10).is_zero()
+    assert calls == {2: 11, 1: 1, 4: 1}
+
+
+def test_ode_residual_sees_a_wrong_block(monkeypatch):
+    # H_5 doubled: every residual that reads it, as H_g, as H_{g-1} or
+    # inside the quadratic sum, is nonzero.
+    block = genus.hg_block
+
+    def doubled(h):
+        b = block(h)
+        return GenusBlock(b.log_coeff, b.laurent.scale(2)) if h == 5 else b
+
+    monkeypatch.setattr(genus, "hg_block", doubled)
+    assert genus_ode_residual(4).is_zero()
+    for g in (5, 6, 7, 10):
+        assert not genus_ode_residual(g).is_zero(), g
 
 
 def test_ode_residual_range():
