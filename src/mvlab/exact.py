@@ -43,13 +43,16 @@ def bernoulli(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("bernoulli index must be nonnegative")
-    if m not in _bernoulli_cache:
+    bs = _bernoulli_cache
+    if m not in bs:
         for k in range(1, m + 1):
-            if k in _bernoulli_cache:
+            if k in bs:
                 continue
-            acc = sum(comb(k + 1, j) * _bernoulli_cache[j] for j in range(k))
-            _bernoulli_cache[k] = Fraction(-acc, k + 1)
-    return _bernoulli_cache[m]
+            acc = fraction_sum(
+                (comb(k + 1, j) * bs[j].numerator, bs[j].denominator) for j in range(k)
+            )
+            bs[k] = -acc / (k + 1)
+    return bs[m]
 
 
 def double_factorial(m: int) -> int:

@@ -14,7 +14,7 @@ from math import comb, factorial
 import mpmath as mp
 
 from .agn import a_direct
-from .exact import bernoulli, double_factorial
+from .exact import bernoulli, double_factorial, fraction_sum
 from .genus import _is_structural_zero, agn_from_series
 
 __all__ = [
@@ -169,15 +169,19 @@ def sv_constant(g: int, n: int) -> PiScaled:
     a = agn_from_series(g, n)
     if a == 0:
         raise ValueError(f"a_({g},{n}) vanishes; no area constant")
-    bracket = Fraction(0)
+    # The two linear terms as one Fraction, then the quadratic sum as
+    # integer pairs (comb * num1 * num2, den1 * den2).
+    edge = agn_from_series(g - 1, n + 2)
     if n >= 2:
-        bracket += n * (n - 1) * agn_from_series(g, n - 1)
-    bracket += agn_from_series(g - 1, n + 2)
+        edge += n * (n - 1) * agn_from_series(g, n - 1)
+    terms = [(edge.numerator, edge.denominator)]
     for g1 in range(g + 1):
         for n1 in range(1, n + 2):
             g2, n2 = g - g1, n + 2 - n1
             if 3 * g1 - 3 + n1 <= 0 or 3 * g2 - 3 + n2 <= 0:
                 continue
             a1, a2 = agn_from_series(g1, n1), agn_from_series(g2, n2)
-            bracket += comb(n, n1 - 1) * a1 * a2
+            terms.append((comb(n, n1 - 1) * a1.numerator * a2.numerator,
+                          a1.denominator * a2.denominator))
+    bracket = fraction_sum(terms)
     return PiScaled(bracket / (4 * a), -4)

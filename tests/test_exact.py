@@ -48,6 +48,26 @@ def test_bernoulli_recurrence():
         assert total == 0, f"recurrence fails at m={m}"
 
 
+def _bernoulli_term_by_term(mmax):
+    """B_0..B_mmax by the recurrence with one Fraction operation per term."""
+    bs = [Fraction(1)]
+    for k in range(1, mmax + 1):
+        acc = sum(math.comb(k + 1, j) * bs[j] for j in range(k))
+        bs.append(Fraction(-acc, k + 1))
+    return bs
+
+
+def test_bernoulli_matches_term_by_term_recurrence_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    want = _bernoulli_term_by_term(200)
+    for m in range(201):
+        assert bernoulli(m) == want[m], m
+        # sympy >= 1.12 takes B_1 = +1/2; this package uses -1/2.
+        if m != 1:
+            assert bernoulli(m) == Fraction(str(sympy.bernoulli(m))), m
+    assert bernoulli(1) == Fraction(-1, 2)
+
+
 def test_double_factorial():
     assert double_factorial(-3) == -1
     assert double_factorial(-1) == 1

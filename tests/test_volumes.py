@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from mvlab.agn import a_direct
-from mvlab.genus import coeffs_C
+from mvlab.genus import agn_from_series, coeffs_C
 from mvlab.volumes import (
     PiScaled,
     cg_seq,
@@ -93,6 +93,29 @@ def test_sv_alternate_source():
                         bracket += comb(n, n1 - 1) * a_direct(g1, n1) * a_direct(g2, n2)
             want = PiScaled(bracket / (4 * a_direct(g, n)), -4)
             assert sv_constant(g, n) == want, (g, n)
+
+
+def _sv_term_by_term(g, n):
+    """The area bracket with one Fraction operation per term."""
+    a = agn_from_series(g, n)
+    bracket = Fraction(0)
+    if n >= 2:
+        bracket += n * (n - 1) * agn_from_series(g, n - 1)
+    bracket += agn_from_series(g - 1, n + 2)
+    for g1 in range(g + 1):
+        for n1 in range(1, n + 2):
+            g2, n2 = g - g1, n + 2 - n1
+            if 3 * g1 - 3 + n1 <= 0 or 3 * g2 - 3 + n2 <= 0:
+                continue
+            bracket += comb(n, n1 - 1) * agn_from_series(g1, n1) * agn_from_series(g2, n2)
+    return PiScaled(bracket / (4 * a), -4)
+
+
+def test_sv_constant_matches_term_by_term_bracket():
+    strata = [(g, n) for g in range(25) for n in range(9) if 2 * g - 2 + n > 0]
+    assert len(strata) == 221
+    for g, n in strata:
+        assert sv_constant(g, n) == _sv_term_by_term(g, n), (g, n)
 
 
 def test_large_n_scaling_toward_kappa():
