@@ -12,7 +12,8 @@ row per genus: the binomial weight comb(n-1, n1-2) is (n-1)!/(k1! k2!),
 and the convolution kernel P_{g,nu} carries its 1/nu!. Each row is a
 ``DenseRow`` (int numerators over one denominator) that grows as its
 genus's cells are filled, so a cell's quadratic sum is one integer dot
-product per unordered genus pair.
+product per unordered genus pair. The rows are the only store of the
+cells, which are read back from them as int pairs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "a_direct",
     "a_alt",
     "AgnTable",
+    "METHODS",
     "build_table",
     "save_table",
     "load_table",
@@ -37,13 +39,16 @@ __all__ = [
 
 HEADER = "# agn-table v1"
 
-_BOUNDARY = {(0, 3): Fraction(1), (0, 4): Fraction(1)}
 
-
-_direct: dict[tuple[int, int], Fraction] = dict(_BOUNDARY)
-# Row g holds b_{g,k} = a_{g,k+2}/k! for k = 0, 1, ..., except that the
-# entry of a_{0,3} is 0: the recursion leaves out every product with it.
-_direct_rows: list[DenseRow] = []
+def _grow(rows: list[DenseRow], g: int, n: int, step: int, entry) -> None:
+    """Fill what the cell (g, n) reads: the (g', n') with g' <= g and
+    n' <= n + step*(g - g'). Row g' takes entry k from entry(g', k)."""
+    while len(rows) <= g:
+        rows.append(DenseRow())
+    for gg in range(g + 1):
+        row = rows[gg]
+        while len(row) < n + step * (g - gg) - 1:
+            row.append(entry(gg, len(row)))
 
 
 def _quad_terms(rows: list[DenseRow], g: int, k: int, scale: int, denom: int):
@@ -58,17 +63,30 @@ def _quad_terms(rows: list[DenseRow], g: int, k: int, scale: int, denom: int):
     return terms
 
 
+# Row g holds b_{g,k} = a_{g,k+2}/k! for k = 0, 1, ..., except that the
+# entry of a_{0,3} is 0: the recursion leaves out every product with it.
+_direct_rows: list[DenseRow] = []
+
+
 def _direct_cell(g: int, n: int) -> Fraction:
     # (quad/2 + top/12) / (4g-4+n). quad/2 is (n-1)!/2 times the Cauchy
     # coefficient at n-1 of the rows of g1 and g - g1. The entries n' >= n
     # of row g, not filled yet, would pair only with the zeros b_{0,0}
-    # and b_{0,1}.
+    # and b_{0,1}. The top term is a_{g-1,n+3} = b_{g-1,n+1} (n+1)!.
     denom = 4 * g - 4 + n
     terms = _quad_terms(_direct_rows, g, n - 1, factorial(n - 1), denom)
     if g:
-        top = _direct[(g - 1, n + 3)]
-        terms.append((top.numerator, 12 * denom * top.denominator))
+        row = _direct_rows[g - 1]
+        terms.append((row.nums[n + 1] * factorial(n + 1), 12 * denom * row.den))
     return fraction_sum(terms)
+
+
+def _direct_entry(g: int, k: int) -> Fraction:
+    if g == 0 and k < 3:
+        # a_{0,2} = 0, a_{0,3} enters no product, and a_{0,4} = 1 is the
+        # boundary value: the recursion would divide by 4g-4+n = 0.
+        return Fraction(1, 2) if k == 2 else Fraction(0)
+    return _direct_cell(g, k + 2) / factorial(k)
 
 
 def a_direct(g: int, n: int) -> Fraction:
@@ -83,33 +101,21 @@ def a_direct(g: int, n: int) -> Fraction:
     """
     if _is_structural_zero(g, n):
         return Fraction(0)
-    key = (g, n)
-    if key not in _direct:
-        if n == 0:
-            _direct[key] = agn_from_series(g, 0)
-        else:
-            # The cell (g, n) reads (g', n') with g' <= g and
-            # 2 <= n' <= n + 3*(g - g'): the first n' - 1 entries of row g'.
-            while len(_direct_rows) <= g:
-                _direct_rows.append(DenseRow())
-            for gg in range(g + 1):
-                row = _direct_rows[gg]
-                while len(row) < n + 3 * (g - gg) - 1:
-                    nn = len(row) + 2
-                    if _is_structural_zero(gg, nn) or (gg, nn) == (0, 3):
-                        row.append(Fraction(0))
-                        continue
-                    if (gg, nn) not in _direct:
-                        _direct[(gg, nn)] = _direct_cell(gg, nn)
-                    row.append(_direct[(gg, nn)] / factorial(nn - 2))
-            if key not in _direct:  # n = 1 lies below the rows
-                _direct[key] = _direct_cell(g, n)
-    return _direct[key]
+    if n == 0:
+        return agn_from_series(g, 0)
+    if (g, n) == (0, 3):
+        return Fraction(1)
+    _grow(_direct_rows, g, n, 3, _direct_entry)
+    if n == 1:  # below the rows
+        return _direct_cell(g, 1)
+    row = _direct_rows[g]
+    return Fraction(row.nums[n - 2] * factorial(n - 2), row.den)
 
 
-_alt: dict[tuple[int, int], Fraction] = {}
-# Row g holds the convolution kernel P_{g,nu} for nu = 0, 1, ...
+# Row g holds the convolution kernel P_{g,nu} for nu = 0, 1, ..., and
+# cell row g holds a_{g,k+2} at k = 0, 1, ..., with 0 at a_{0,2}.
 _alt_rows: list[DenseRow] = []
+_alt_cells: list[DenseRow] = []
 
 
 def _alt_P_at(gam: int, nu: int) -> Fraction:
@@ -120,12 +126,10 @@ def _alt_P_at(gam: int, nu: int) -> Fraction:
     nu_fact = factorial(nu)
     terms = []
     for j in range(gam + 1):
-        if _is_structural_zero(gam - j, nu + 2 * j + 2):
-            continue
-        a = _alt[(gam - j, nu + 2 * j + 2)]
+        row = _alt_cells[gam - j]
         terms.append((
-            (-1) ** j * a.numerator,
-            nu_fact * 4**j * factorial(2 * j + 1) * a.denominator,
+            (-1) ** j * row.nums[nu + 2 * j],
+            nu_fact * 4**j * factorial(2 * j + 1) * row.den,
         ))
     return fraction_sum(terms)
 
@@ -135,44 +139,38 @@ def _alt_cell(g: int, n: int) -> Fraction:
     # with v_j = (-1)^j / (4^j (2j)!). conv is the Cauchy coefficient at q
     # of the rows of g1 and g - g1. The row of g holds only nu < q here;
     # P_{g,q} reads the cell being computed, and its partner is
-    # P_{0,0} = a_{0,2} = 0.
+    # P_{0,0} = a_{0,2} = 0. At (0, 2) every term is 0.
     q = n - 2
     terms = _quad_terms(_alt_rows, g, q, factorial(q), 1)
     for j in range(1, g + 1):
-        if _is_structural_zero(g - j, q + 2 * j + 2):
-            continue
-        a = _alt[(g - j, q + 2 * j + 2)]
-        terms.append(((-1) ** (j + 1) * a.numerator, 4**j * factorial(2 * j) * a.denominator))
+        row = _alt_cells[g - j]
+        terms.append(((-1) ** (j + 1) * row.nums[q + 2 * j], 4**j * factorial(2 * j) * row.den))
     if q == 1 and g == 0:
         terms.append((1, 1))
     return fraction_sum(terms)
 
 
+def _alt_entry(g: int, k: int) -> Fraction:
+    # P_{g,k} reads a_{g,k+2}, so the cell is stored first.
+    if g == len(_alt_cells):
+        _alt_cells.append(DenseRow())
+    _alt_cells[g].append(_alt_cell(g, k + 2))
+    return _alt_P_at(g, k)
+
+
 def a_alt(g: int, n: int) -> Fraction:
     """a_{g,n} by the alternating-sign recursion; defined for n >= 2 only.
 
-    Terms whose implicit factorial argument would go negative are
-    skipped. The n < 2 columns are out of this recursion's domain.
-    Cells are filled bottom-up, each genus's row of P_{g,nu} in order
-    of nu = n - 2.
+    The n < 2 columns are out of this recursion's domain. Cells are
+    filled bottom-up, each genus's rows in order of nu = n - 2.
     """
     if n < 2:
         raise ValueError("a_alt is defined for n >= 2")
     if _is_structural_zero(g, n):
         return Fraction(0)
-    if (g, n) not in _alt:
-        # The cell (g, n) reads (g', n') with g' <= g and
-        # n' <= n + 2*(g - g'): the first n' - 1 entries of row g'.
-        while len(_alt_rows) <= g:
-            _alt_rows.append(DenseRow())
-        for gg in range(g + 1):
-            row = _alt_rows[gg]
-            while len(row) < n + 2 * (g - gg) - 1:
-                nn = len(row) + 2
-                if not _is_structural_zero(gg, nn):
-                    _alt[(gg, nn)] = _alt_cell(gg, nn)
-                row.append(_alt_P_at(gg, nn - 2))
-    return _alt[(g, n)]
+    _grow(_alt_rows, g, n, 2, _alt_entry)
+    row = _alt_cells[g]
+    return Fraction(row.nums[n - 2], row.den)
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ class AgnTable:
         return len(self.entries)
 
 
-_METHODS = ("direct", "alt", "series")
+METHODS = ("direct", "alt", "series")
 
 
 def build_table(gmax: int, nmax: int, method: str = "direct") -> AgnTable:
@@ -202,8 +200,8 @@ def build_table(gmax: int, nmax: int, method: str = "direct") -> AgnTable:
     """
     if gmax < 0 or nmax < 0:
         raise ValueError("table bounds must be nonnegative")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {_METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     entries: dict[tuple[int, int], Fraction] = {}
     for g in range(gmax + 1):
         for n in range(nmax + 1):

@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .agn import TableFormatError, build_table, load_table, save_table
+from .agn import METHODS, TableFormatError, build_table, load_table, save_table
 from .asym import compare_report
 from .genus import SupportError, coeffs_C
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .volumes import PiScaled, sv_constant, volume
 
 __all__ = ["main", "resolve_cache_dir"]
@@ -57,7 +57,10 @@ def render(out: Output, fmt: str) -> int:
         columns = out.columns or tuple(out.rows[0])
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(columns)
-        w.writerows([row[c] for c in columns] for row in out.rows)
+        w.writerows(
+            [str(v).lower() if isinstance(v, bool) else v for v in map(row.__getitem__, columns)]
+            for row in out.rows
+        )
     else:
         for line in out.lines:
             print(line)
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("agn", help="print one table entry")
     _int_pair(s)
-    s.add_argument("--method", choices=("direct", "alt", "series"), default="direct")
+    s.add_argument("--method", choices=METHODS, default="direct")
     _add_format(s, "plain")
     s.set_defaults(fn=_cmd_agn)
 
@@ -195,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gmax", type=int, required=True)
     s.add_argument("--nmax", type=int, required=True)
     s.add_argument("--out", default=None)
-    s.add_argument("--method", choices=("direct", "alt", "series"), default="direct")
+    s.add_argument("--method", choices=METHODS, default="direct")
     _add_format(s, "plain")
     s.add_argument("--cache-dir", default=None)
     s.set_defaults(fn=_cmd_table)
@@ -217,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_genus)
 
     s = subs.add_parser("verify", help="run a named verification suite")
-    s.add_argument("--suite", required=True,
-                   choices=("table1", "paths", "funceq", "closed", "lambda", "iz"))
+    s.add_argument("--suite", required=True, choices=SUITES)
     s.add_argument("--gmax", type=int, default=None)
     _add_format(s, "plain")
     s.set_defaults(fn=_cmd_verify)

@@ -4,10 +4,10 @@ Rationals are ``fractions.Fraction`` throughout (lowest terms, exact).
 This module adds the pieces the rest of the package leans on: Bernoulli
 numbers, double factorials, the Pochhammer symbol, Gaussian rationals,
 growing rows of rationals over one denominator with their Cauchy
-coefficient, Laurent polynomials in the variable T (int numerators over
-one denominator) with their weighted-sum kernel and the derivation
-D_T = d/dx acting as D_T(T^e) = -e*T^(e-2), and genus blocks that pair a
-Laurent part with a log(1/T) coefficient.
+coefficient, the integer convolution, Laurent polynomials in T (int
+numerators over one denominator) with their weighted-sum kernel and the
+derivation D_T = d/dx acting as D_T(T^e) = -e*T^(e-2), and genus blocks
+that pair a Laurent part with a log(1/T) coefficient.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "bernoulli",
@@ -25,6 +25,7 @@ __all__ = [
     "fraction_sum",
     "DenseRow",
     "cauchy_coeff",
+    "convolve_into",
     "GaussianRat",
     "LaurentT",
     "weighted_sum",
@@ -139,6 +140,18 @@ def cauchy_coeff(x: DenseRow, y: DenseRow, k: int) -> tuple[int, int]:
     hi = min(k, len(x) - 1)
     num = sum(map(mul, x.nums[lo:hi + 1], reversed(y.nums[k - hi:k - lo + 1])))
     return num, x.den * y.den
+
+
+def convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """Add the int convolution a*b into acc, truncated to len(acc): one
+    shifted slice of the longer factor per nonzero entry of the shorter."""
+    if len(a) < len(b):
+        a, b = b, a
+    for j, y in zip(range(len(acc)), b):
+        if y:
+            # The slice acc[j:k] stops at len(acc), and so does the zip.
+            k = j + len(a)
+            acc[j:k] = [s + x * y for s, x in zip(acc[j:k], a)]
 
 
 @dataclass(frozen=True)
@@ -272,16 +285,10 @@ class LaurentT:
 
     def __mul__(self, other: "LaurentT") -> "LaurentT":
         # An integer convolution over the product of the two denominators,
-        # one shifted row of the longer factor per term of the shorter one,
         # and one gcd for the result.
         a, b = self._nums, other._nums
-        if len(a) < len(b):
-            a, b = b, a
-        acc = [0] * (len(a) + len(b) - 1) if b else []
-        for j, y in enumerate(b):
-            if y:
-                k = j + len(a)
-                acc[j:k] = [s + x * y for s, x in zip(acc[j:k], a)]
+        acc = [0] * (len(a) + len(b) - 1) if a and b else []
+        convolve_into(acc, a, b)
         return LaurentT._make(self._lo + other._lo, acc, self._den * other._den)
 
     def scale(self, q: Fraction | int) -> "LaurentT":
@@ -364,7 +371,3 @@ class GenusBlock:
             # d/dx log(1/T) = T^-2, so the log part feeds D^(k-1) T^-2.
             lau = lau + laurent_dt(LaurentT.monomial(-2, self.log_coeff), k - 1)
         return GenusBlock(Fraction(0), lau)
-
-    def is_zero(self) -> bool:
-        return self.log_coeff == 0 and self.laurent.is_zero()
-

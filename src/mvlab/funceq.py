@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
 
 from .agn import a_direct
+from .exact import convolve_into
 
 __all__ = ["FunceqFailure", "FunceqReport", "verify_functional_eqs"]
 
@@ -68,8 +69,7 @@ def _mul(p: BiSeries, q: BiSeries, top) -> BiSeries:
     """p * q, keeping x^a eps^b only for a <= top(b).
 
     Each pair of eps-rows is an int convolution truncated to the kept
-    length: one shifted slice of the longer row per nonzero numerator of
-    the shorter one.
+    length top(b) + 1, which every row at eps^b shares.
     """
     (prows, pden), (qrows, qden) = p, q
     out: Rows = {}
@@ -77,16 +77,8 @@ def _mul(p: BiSeries, q: BiSeries, top) -> BiSeries:
         for b2, r2 in qrows.items():
             b = b1 + b2
             m = top(b) + 1
-            if m <= 0 or not r1 or not r2:
-                continue
-            u, w = r1[:m], r2[:m]
-            if len(u) < len(w):
-                u, w = w, u
-            acc = _row(out, b, min(len(u) + len(w) - 1, m))
-            for j, y in enumerate(w):
-                if y:
-                    k = min(j + len(u), m)
-                    acc[j:k] = [s + v * y for s, v in zip(acc[j:k], u)]
+            if m > 0 and r1 and r2:
+                convolve_into(_row(out, b, min(len(r1) + len(r2) - 1, m)), r1, r2)
     return out, pden * qden
 
 

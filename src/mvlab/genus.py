@@ -274,7 +274,7 @@ def hg_block(g: int) -> GenusBlock:
     )
 
 
-def genus_ode_residual(g: int) -> GenusBlock:
+def genus_ode_residual(g: int) -> LaurentT:
     """Left side of the genus ODE; identically zero when the tower is right.
 
     x*H_g'' + (2g - 3/2)*H_g' - (1/4)*sum_{g1+g2=g} H_g1''*H_g2''
@@ -286,10 +286,9 @@ def genus_ode_residual(g: int) -> GenusBlock:
     d2 = [b.ddx_n(2).laurent for b in blocks]
     # (1/4) * sum over g1 + g2 = g is half of H_0''*H_g'' plus the inner pairs.
     quad = weighted_sum([(1, d2[0] * d2[g])] + _half_square(d2, g))
-    res = weighted_sum([
+    return weighted_sum([
         (1, d2[g].times_x()),
         (Fraction(4 * g - 3, 2), blocks[g].ddx_n(1).laurent),
         (Fraction(-1, 2), quad),
         (Fraction(-1, 24), blocks[g - 1].ddx_n(4).laurent),
     ])
-    return GenusBlock(Fraction(0), res)

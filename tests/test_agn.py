@@ -266,13 +266,15 @@ def _alt_term_by_term(gmax, nmax):
     return a, P
 
 
+def _cold_stores(monkeypatch):
+    for name in ("_direct_rows", "_alt_rows", "_alt_cells"):
+        monkeypatch.setattr(agn, name, [])
+
+
 def test_rows_match_term_by_term_recursions(monkeypatch):
     # From cold stores, the row kernels give exactly the cells of the
     # per-term loops, for g <= 10 and n <= 30.
-    monkeypatch.setattr(agn, "_direct", dict(agn._BOUNDARY))
-    monkeypatch.setattr(agn, "_direct_rows", [])
-    monkeypatch.setattr(agn, "_alt", {})
-    monkeypatch.setattr(agn, "_alt_rows", [])
+    _cold_stores(monkeypatch)
     direct, (alt, P) = _direct_term_by_term(10, 30), _alt_term_by_term(10, 30)
     for g in range(11):
         for n in range(1, 31):
@@ -282,7 +284,8 @@ def test_rows_match_term_by_term_recursions(monkeypatch):
             if n >= 2:
                 assert a_alt(g, n) == alt[(g, n)], (g, n)
     # The direct row holds a(g, k+2)/k!, with 0 for the left-out a(0,3);
-    # the alternating row holds P(g, nu), with its 1/nu!.
+    # the alternating rows hold P(g, nu), with its 1/nu!, and a(g, k+2),
+    # with 0 for a(0,2).
     for g, row in enumerate(agn._direct_rows):
         for k, c in enumerate(row.nums):
             want = 0 if (g, k) in ((0, 0), (0, 1)) else direct[(g, k + 2)] / math.factorial(k)
@@ -290,16 +293,47 @@ def test_rows_match_term_by_term_recursions(monkeypatch):
     for g, row in enumerate(agn._alt_rows):
         for nu, c in enumerate(row.nums):
             assert Fraction(c, row.den) == P[(g, nu)], (g, nu)
-    assert len(agn._direct_rows[0]) == 59 and len(agn._alt_rows[0]) == 49
+    for g, row in enumerate(agn._alt_cells):
+        for k, c in enumerate(row.nums):
+            assert Fraction(c, row.den) == (0 if (g, k) == (0, 0) else alt[(g, k + 2)]), (g, k)
+    assert len(agn._direct_rows[0]) == 59
+    assert len(agn._alt_rows[0]) == len(agn._alt_cells[0]) == 49
+
+
+def test_cells_survive_a_row_rescale(monkeypatch):
+    # A later call that appends deeper entries rescales the rows to a
+    # larger common denominator; every cell read back must not move.
+    _cold_stores(monkeypatch)
+
+    def read():
+        return [(a_direct(g, n), a_alt(g, n) if n >= 2 else None)
+                for g in range(4) for n in range(21)]
+
+    def dens():
+        return [row.den for row in agn._direct_rows + agn._alt_cells]
+
+    before, before_dens = read(), dens()
+    a_direct(2, 200)
+    a_alt(2, 200)
+    assert dens() != before_dens
+    assert read() == before
+    assert agn._direct_rows[0].nums[1] == 0 and a_direct(0, 3) == 1
+    assert agn._alt_cells[0].nums[0] == 0 and a_alt(0, 2) == 0
 
 
 _STORE_DUMP = (
     "import json, sys\n"
+    "from math import factorial\n"
+    "from fractions import Fraction\n"
     "from mvlab import agn\n"
     "for route, g, n in json.loads(sys.argv[1]):\n"
     "    (agn.a_direct if route == 'direct' else agn.a_alt)(g, n)\n"
-    "print(json.dumps({name: sorted([g, n, str(v)] for (g, n), v in store.items())\n"
-    "                  for name, store in (('direct', agn._direct), ('alt', agn._alt))}))\n"
+    "def cells(rows, scale):\n"
+    "    return [[g, k + 2, str(Fraction(c * scale(k), row.den))]\n"
+    "            for g, row in enumerate(rows) for k, c in enumerate(row.nums)]\n"
+    "print(json.dumps({'direct': cells(agn._direct_rows, factorial),\n"
+    "                  'alt': cells(agn._alt_cells, lambda k: 1),\n"
+    "                  'P': cells(agn._alt_rows, lambda k: 1)}))\n"
 )
 
 
@@ -316,15 +350,16 @@ def _fresh_store_dump(calls):
 def test_scrambled_calls_fill_the_same_cells_as_a_sweep():
     # A fresh interpreter asks for cells out of order, so rows are
     # extended part-way by one call and finished by a later one. Every
-    # cell it stores must equal the one an in-order sweep (a second fresh
-    # interpreter, g then n ascending) computes.
+    # row entry it stores must equal the one an in-order sweep (a second
+    # fresh interpreter, g then n ascending) computes. The direct row
+    # entries are dumped as cells, a(g, k+2) = b(g, k) k!.
     order = [(6, 1), (0, 50), (3, 20), (12, 0), (2, 2), (8, 30)]
     calls = [["direct", g, n] for g, n in order]
     calls += [["alt", g, n] for g, n in order if n >= 2]
     scrambled = _fresh_store_dump(calls)
-    cells = sorted({(g, n, route) for route, store in scrambled.items() for g, n, _ in store})
+    cells = sorted({(g, n, route) for route in ("direct", "alt") for g, n, _ in scrambled[route]})
     swept = _fresh_store_dump([[route, g, n] for g, n, route in cells])
-    assert (len(scrambled["direct"]), len(scrambled["alt"])) == (370, 336)
+    assert [len(scrambled[r]) for r in ("direct", "alt", "P")] == [369, 337, 337]
     assert scrambled == swept
 
 

@@ -107,7 +107,7 @@ def test_verify_lists_failures(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "table1")
     assert (code, out) == (1, "FAIL a(2,0): got 1, want 0\n1/2 entries match\n")
     code, out, _ = run(capsys, "verify", "--suite", "table1", "--format", "csv")
-    assert (code, out) == (1, 'name,passed,detail\n"a(1,1)",True,\n"a(2,0)",False,"got 1, want 0"\n')
+    assert (code, out) == (1, 'name,passed,detail\n"a(1,1)",true,\n"a(2,0)",false,"got 1, want 0"\n')
 
 
 def test_verify_table1_rejects_gmax(capsys):
@@ -353,8 +353,8 @@ _PINNED = {
         "json": '{"cases":[{"detail":"","name":"window(8,2) residuals vanish",'
                 '"passed":true},{"detail":"","name":"perturbed table detected",'
                 '"passed":true}],"pass":true,"suite":"funceq"}\n',
-        "csv": 'name,passed,detail\n"window(8,2) residuals vanish",True,\n'
-               "perturbed table detected,True,\n",
+        "csv": 'name,passed,detail\n"window(8,2) residuals vanish",true,\n'
+               "perturbed table detected,true,\n",
     }),
     "asym": (["asym", "--n", "1", "--gmax", "12", "--order", "1", "--bits", "64"], 1, {
         "plain": "vol n=1 k=0: estimate=1.00031610265 bar=0.00101 reference=1.0 "
@@ -380,10 +380,10 @@ _PINNED = {
                 '"passed":false,"reference":"0.0294006982648","rel_deviation":"0.0782",'
                 '"target":"sv"}],"pass":false,"target":"both"}\n',
         "csv": "target,n,k,estimate,error_bar,reference,rel_deviation,passed\n"
-               "vol,1,0,1.00031610265,0.00101,1.0,0.000316,False\n"
-               "vol,1,1,-0.0754141363142,0.00825,-0.068538919452,0.1,False\n"
-               "sv,1,0,0.249902067168,0.000135,0.25,0.000392,False\n"
-               "sv,1,1,0.0317009501657,0.00117,0.0294006982648,0.0782,False\n",
+               "vol,1,0,1.00031610265,0.00101,1.0,0.000316,false\n"
+               "vol,1,1,-0.0754141363142,0.00825,-0.068538919452,0.1,false\n"
+               "sv,1,0,0.249902067168,0.000135,0.25,0.000392,false\n"
+               "sv,1,1,0.0317009501657,0.00117,0.0294006982648,0.0782,false\n",
     }),
     "cache": (["cache", "--cache-dir", "{tmp}"], 0, {
         "plain": "{tmp}\nagn_g1_n2.txt\t6 entries\n",

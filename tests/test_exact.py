@@ -14,6 +14,7 @@ from mvlab.exact import (
     double_factorial,
     DenseRow,
     cauchy_coeff,
+    convolve_into,
     fraction_sum,
     laurent_dt,
     pochhammer,
@@ -166,6 +167,31 @@ def test_dense_row_matches_fraction_model(xs, ys, k):
     num, den = cauchy_coeff(x, y, k)
     assert type(num) is int and den == x.den * y.den
     assert Fraction(num, den) == model
+
+
+_ints = st.lists(st.integers(-50, 50), max_size=8)
+
+
+@given(_ints, _ints, _ints, st.integers(-3, 3))
+@example([], [], [], 0)
+@example([1, 2], [], [3], 2)
+@example([0, 0, 0], [0, 4, 0], [7, 0, 2], 0)
+@example([5, 1], [1, 2, 3], [4, 5], -1)
+@settings(max_examples=200)
+def test_convolve_into_matches_definition(start, a, b, extra):
+    # The starting sum is nonzero in general, and its length falls
+    # below, at or above the full product length; either factor may be
+    # the longer one.
+    full = len(a) + len(b) - 1 if a and b else 0
+    acc = (start + [0] * 20)[:max(0, full + extra)]
+    want = [
+        s + sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k, s in enumerate(acc)
+    ]
+    swapped = list(acc)
+    convolve_into(acc, a, b)
+    convolve_into(swapped, b, a)
+    assert acc == swapped == want
 
 
 @given(laurents(), laurents(), laurents())
