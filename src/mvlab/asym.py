@@ -7,18 +7,22 @@ shifted window. The results are compared against the conjectured
 polynomials in n and M = -pi^2/144.
 
 Samples stay exact (PiScaled or rational) until richardson_fit rounds
-each one through PiScaled.to_mpf at a caller-chosen precision; the fits
-run at that precision, and every coefficient and error bar is rounded
-to it once, so a BigFloat's tag is its mantissa width.
+each one through PiScaled.to_mpf at a caller-chosen precision. The
+fits then read each rounded sample as the exact dyadic rational it is
+and solve their windows exactly, with integer Lagrange weights in g;
+every coefficient and error bar is rounded to nearest at that precision
+once, from its exact value, so a BigFloat's tag is its mantissa width
+and the value is the correctly rounded fit of the rounded samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 import mpmath as mp
+from mpmath.libmp import from_rational, round_nearest
 
 from .genus import agn_from_series
 from .volumes import PiScaled, _check_precision, _check_stratum, sv_constant
@@ -102,64 +106,96 @@ def normalize_vol(g: int, n: int, a: Fraction) -> PiScaled:
     return PiScaled(rat, 2 * (6 * g - 5 + 2 * n))
 
 
-def _sample_value(s, bits: int) -> mp.mpf:
+def _sample_value(s, bits: int) -> tuple[int, int]:
+    """The sample rounded once to `bits`, as the exact dyadic man * 2^exp."""
     if not isinstance(s, PiScaled):
         s = PiScaled(Fraction(s), 0)
-    return s.to_mpf(bits)
+    sign, man, exp, _ = s.to_mpf(bits)._mpf_
+    return (-man if sign else man), exp
 
 
-def _solve_window(pts, K: int):
-    rows = [[mp.mpf(1) / mp.mpf(g) ** k for k in range(K + 1)] for g, _ in pts]
-    rhs = mp.matrix([v for _, v in pts])
-    try:
-        sol = mp.lu_solve(mp.matrix(rows), rhs)
-    except ZeroDivisionError:
-        raise ValueError("singular design matrix")
-    return [sol[i] for i in range(K + 1)]
+def _window_coefficients(pts, K: int) -> list[tuple[int, int]]:
+    """Exact c_0..c_K, as pairs (p, q) with q > 0, through K+1 dyadic samples.
+
+    sum_k c_k g^(K-k) is the polynomial through the points (g, g^K * v),
+    so c_k is the coefficient of g^(K-k) in sum_i g_i^K v_i L_i(g), with
+    L_i(g) = prod_{j != i} (g - g_j) / (g_i - g_j). The node polynomials
+    have int coefficients; everything is summed as ints over one
+    denominator: the lcm of the node denominators times a power of 2.
+    """
+    gs = [g for g, _, _ in pts]
+    e0 = min(exp for _, _, exp in pts)
+    # prod_j (g - g_j), highest power first.
+    full = [1]
+    for a in gs:
+        full = [x - a * y for x, y in zip(full + [0], [0] + full)]
+    node_dens = [prod(gi - gj for gj in gs if gj != gi) for gi in gs]
+    den = lcm(*node_dens)
+    nums = [0] * (K + 1)
+    for (g, man, exp), d in zip(pts, node_dens):
+        w = g**K * man * (den // d) << (exp - e0)
+        # The node polynomial prod_{j != i} (g - g_j) by synthetic
+        # division of the full product by (g - g_i), highest power first.
+        q = 0
+        for k, c in enumerate(full[:-1]):
+            q = c + g * q
+            nums[k] += w * q
+    if e0 >= 0:
+        return [(x << e0, den) for x in nums]
+    return [(x, den << -e0) for x in nums]
 
 
 def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     """Fit sum_{k<=K} c_k / g^k to the top of a sampled sequence.
 
-    samples: iterable of (g, value) with distinct g; value is exact: a
-    PiScaled or a number that Fraction accepts (an mpf raises TypeError).
-    Each value is rounded once, by PiScaled.to_mpf.
+    samples: iterable of (g, value) with distinct g != 0; value is
+    exact: a PiScaled or a number that Fraction accepts (an mpf raises
+    TypeError). Each value is rounded once, by PiScaled.to_mpf, and read
+    as the exact dyadic rational it then is.
     Needs at least K+1 samples; the fit uses the top K+1, and error bars
-    come from sliding that window down by up to 5 samples. The solves
-    may carry guard bits; each coefficient and bar is then rounded to
-    precision_bits, once.
+    come from sliding that window down by up to 5 samples. Each window
+    is solved exactly, with integer Lagrange node polynomials in g; each
+    coefficient c and each bar |c - a| against the shifted window's a is
+    then rounded to nearest at precision_bits once, from its exact value.
     """
     if K < 0:
         raise ValueError(f"fit order K must be nonnegative, got {K}")
     _check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        pts = sorted(
-            ((int(g), _sample_value(v, precision_bits)) for g, v in samples),
-            key=lambda t: t[0],
-        )
-        if len({g for g, _ in pts}) != len(pts):
-            raise ValueError("duplicate g values in samples")
-        if len(pts) < K + 1:
-            raise ValueError(f"need at least {K + 1} samples for K = {K}")
-        top = pts[-(K + 1):]
-        coeffs = _solve_window(top, K)
+    pts = sorted(
+        ((int(g), *_sample_value(v, precision_bits)) for g, v in samples),
+        key=lambda t: t[0],
+    )
+    if len({g for g, _, _ in pts}) != len(pts):
+        raise ValueError("duplicate g values in samples")
+    if len(pts) < K + 1:
+        raise ValueError(f"need at least {K + 1} samples for K = {K}")
+    if K and any(g == 0 for g, _, _ in pts):
+        raise ValueError("g = 0 has no expansion in 1/g")
+    top = pts[-(K + 1):]
+    coeffs = _window_coefficients(top, K)
 
-        shift = min(5, len(pts) - (K + 1))
-        if shift > 0:
-            shifted = pts[-(K + 1) - shift : len(pts) - shift]
-            alt = _solve_window(shifted, K)
-            bars = [abs(c - a) for c, a in zip(coeffs, alt)]
-        else:
-            bars = [mp.mpf(0)] * (K + 1)
-        wrap = lambda xs: tuple(BigFloat(+x, precision_bits) for x in xs)
-        return AsymFit(
-            coefficients=wrap(coeffs),
-            error_estimates=wrap(bars),
-            window=(top[0][0], top[-1][0]),
-            K=K,
-            shift_used=shift,
-            precision_bits=precision_bits,
+    shift = min(5, len(pts) - (K + 1))
+    if shift > 0:
+        alt = _window_coefficients(pts[-(K + 1) - shift : len(pts) - shift], K)
+        bars = [(abs(p * s - r * q), q * s) for (p, q), (r, s) in zip(coeffs, alt)]
+    else:
+        bars = [(0, 1)] * (K + 1)
+
+    def wrap(pairs):
+        return tuple(
+            BigFloat(mp.make_mpf(from_rational(p, q, precision_bits, round_nearest)),
+                     precision_bits)
+            for p, q in pairs
         )
+
+    return AsymFit(
+        coefficients=wrap(coeffs),
+        error_estimates=wrap(bars),
+        window=(top[0][0], top[-1][0]),
+        K=K,
+        shift_used=shift,
+        precision_bits=precision_bits,
+    )
 
 
 def _check_room(n: int, gmax: int, K: int, precision_bits: int) -> None:

@@ -261,6 +261,10 @@ class LaurentT:
             (e, Fraction(n, self._den)) for e, n in enumerate(self._nums, self._lo) if n
         ]
 
+    def dense(self) -> tuple[int, tuple[int, ...], int]:
+        """(lo, nums, den): the coefficient of T^(lo + i) is nums[i] / den."""
+        return self._lo, self._nums, self._den
+
     def support(self) -> list[int]:
         return [e for e, n in enumerate(self._nums, self._lo) if n]
 

@@ -70,8 +70,12 @@ def _half_square(rows, g: int) -> list[tuple[Fraction | int, LaurentT]]:
     ]
 
 
-# (tu^[g], u^[g]) per genus; both come from one pass over the same derivatives.
-_tower: list[tuple[LaurentT, LaurentT]] = [(LaurentT({0: 1, 1: -1}),) * 2]
+# Per genus g: tu^[g], u^[g], and the weights w_g = |B_2g| / (2g)! and
+# (1 - 2^(1-2g)) * w_g that D_T^(2g) tu^[h] carries in the tu^[g+h] and
+# u^[g+h] sums. All four come from one pass; genus 0 has no weights.
+_tower: list[tuple[LaurentT, LaurentT, Fraction, Fraction]] = [
+    (LaurentT({0: 1, 1: -1}),) * 2 + (Fraction(0),) * 2
+]
 
 
 def tilde_u(g: int) -> LaurentT:
@@ -80,22 +84,24 @@ def tilde_u(g: int) -> LaurentT:
     Its support is exactly the g exponents -(5g-1)..-4g. The same pass
     forms u^[g]: its sum reads the same D_T^(2g1) tu^[g-g1], g1 = 1..g,
     at the weights (1 - 2^(1-2g1)) |B_2g1| / (2g1)!, so each derivative
-    is taken once.
+    is taken once. The weights of genus g are formed when genus g is
+    built and kept in its tower entry.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     while len(_tower) <= g:
         gg = len(_tower)
-        tus = [tu for tu, _ in _tower]
-        g1s = range(1, gg + 1)
-        dts = [laurent_dt(tus[gg - g1], 2 * g1) for g1 in g1s]
-        ws = [abs(bernoulli(2 * g1)) / factorial(2 * g1) for g1 in g1s]
+        w = abs(bernoulli(2 * gg)) / factorial(2 * gg)
+        w_u = w * Fraction(4**gg - 2, 4**gg)
+        tus = [t[0] for t in _tower]
+        dts = [laurent_dt(tus[gg - g1], 2 * g1) for g1 in range(1, gg + 1)]
+        ws = [t[2] for t in _tower[1:]] + [w]
+        u_ws = [t[3] for t in _tower[1:]] + [w_u]
         tu = weighted_sum(_half_square(tus, gg) + list(zip(ws, dts))) * LaurentT.monomial(-1)
         _check_support(tu, gg, "tu", width=gg)
-        u_ws = [w * Fraction(4**g1 - 2, 4**g1) for g1, w in zip(g1s, ws)]
         u = weighted_sum([(1, tu)] + list(zip(u_ws, dts)))
         _check_support(u, gg, "u", width=gg + 1)
-        _tower.append((tu, u))
+        _tower.append((tu, u, w, w_u))
     return _tower[g][0]
 
 
@@ -212,9 +218,13 @@ _series: dict[tuple[int, int], Fraction] = {}
 def agn_from_series(g: int, n: int) -> Fraction:
     """a_{g,n} rebuilt from genus data, no table recursion involved.
 
-    Genus 0 and 1 come from derivatives of the closed genus blocks;
-    genus >= 2 uses 2^n * sum_j C_{g,j} * rising((5g-5-j)/2, n), where
-    2^n * rising(m/2, n) = m(m+2)...(m+2n-2) is an integer. The
+    Genus 0 and 1 come from derivatives of the closed genus blocks.
+    Genus >= 2 uses 2^n * sum_j C_{g,j} * rising((5g-5-j)/2, n), where
+    2^n * rising(m/2, n) = m(m+2)...(m+2n-2) is an integer. For n >= 2
+    its factors m(m+2) cancel the division by (5g-5-j)(5g-3-j) that
+    forms C_{g,j} from U_j, the numerator of u^[g] at T^-(5g-1-j); so
+    the cell is sum_j U_j (m+4)(m+6)...(m+2n-2) / den(u^[g]), one int
+    dot product and one Fraction. n = 0 and 1 sum the C row. The
     genus >= 2 cells are memoized.
     """
     if _is_structural_zero(g, n):
@@ -224,11 +234,20 @@ def agn_from_series(g: int, n: int) -> Fraction:
     if g == 1:
         return Fraction(2 ** (n - 1) * factorial(n - 1) + double_factorial(2 * n - 3), 24)
     if (g, n) not in _series:
-        terms = []
-        for j, c in enumerate(coeffs_C(g).C):
-            m = 5 * g - 5 - j
-            terms.append((c.numerator * prod(range(m, m + 2 * n, 2)), c.denominator))
-        _series[(g, n)] = fraction_sum(terms)
+        if n >= 2:
+            # The support check puts U_0 at the lowest exponent, -(5g-1).
+            _, nums, den = u_from_tilde(g).dense()
+            total = 0
+            for j, U in enumerate(nums):
+                m = 5 * g - 5 - j
+                total += U * prod(range(m + 4, m + 2 * n, 2))
+            _series[(g, n)] = Fraction(total, den)
+        else:
+            terms = []
+            for j, c in enumerate(coeffs_C(g).C):
+                m = 5 * g - 5 - j
+                terms.append((c.numerator * prod(range(m, m + 2 * n, 2)), c.denominator))
+            _series[(g, n)] = fraction_sum(terms)
     return _series[(g, n)]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import mpmath as mp
 
@@ -122,16 +123,16 @@ def cg_seq(gmax: int) -> list[Fraction]:
     """The integer sequence c_g entering the bottom coefficient C_{g,0}.
 
     Seeds c_0 = -1, c_1 = 2, c_2 = 98; the quadratic recursion applies
-    from g = 3 on.
+    from g = 3 on. Every c_g with g >= 1 is even, so the quadratic sum
+    is divisible by 4 and its half is an int: the recursion runs on ints.
     """
     if gmax < 0:
         raise ValueError("gmax must be nonnegative")
-    c = [Fraction(-1), Fraction(2), Fraction(98)][: gmax + 1]
+    c = [-1, 2, 98][: gmax + 1]
     for g in range(3, gmax + 1):
-        val = 50 * (g - 1) ** 2 * c[g - 1]
-        val += sum((c[h] * c[g - h] for h in range(2, g - 1)), Fraction(0)) / 2
-        c.append(val)
-    return c
+        inner = c[2 : g - 1]
+        c.append(50 * (g - 1) ** 2 * c[g - 1] + sum(map(mul, inner, reversed(inner))) // 2)
+    return [Fraction(x) for x in c]
 
 
 def _gamma_half(num2: int) -> PiScaled:
@@ -170,18 +171,25 @@ def sv_constant(g: int, n: int) -> PiScaled:
     if a == 0:
         raise ValueError(f"a_({g},{n}) vanishes; no area constant")
     # The two linear terms as one Fraction, then the quadratic sum as
-    # integer pairs (comb * num1 * num2, den1 * den2).
+    # integer pairs (comb * num1 * num2, den1 * den2). The summand is
+    # symmetric under (g1, n1) <-> (g2, n2), since
+    # comb(n, n1 - 1) = comb(n, n2 - 1): each unordered pair is summed
+    # once, at weight 2 off the diagonal.
     edge = agn_from_series(g - 1, n + 2)
     if n >= 2:
         edge += n * (n - 1) * agn_from_series(g, n - 1)
     terms = [(edge.numerator, edge.denominator)]
-    for g1 in range(g + 1):
+    for g1 in range(g // 2 + 1):
+        g2 = g - g1
         for n1 in range(1, n + 2):
-            g2, n2 = g - g1, n + 2 - n1
+            n2 = n + 2 - n1
+            if (g1, n1) > (g2, n2):
+                break
             if 3 * g1 - 3 + n1 <= 0 or 3 * g2 - 3 + n2 <= 0:
                 continue
             a1, a2 = agn_from_series(g1, n1), agn_from_series(g2, n2)
-            terms.append((comb(n, n1 - 1) * a1.numerator * a2.numerator,
+            w = 1 if (g1, n1) == (g2, n2) else 2
+            terms.append((w * comb(n, n1 - 1) * a1.numerator * a2.numerator,
                           a1.denominator * a2.denominator))
     bracket = fraction_sum(terms)
     return PiScaled(bracket / (4 * a), -4)

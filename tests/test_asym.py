@@ -101,7 +101,7 @@ def test_richardson_minimal_window_has_no_bars():
 
 
 def test_fit_floats_have_the_precision_they_are_tagged_with():
-    # The solves carry guard bits; every reported float is rounded back.
+    # Every reported float is rounded once, to the precision of its tag.
     synthetic = [
         (g, Fraction(1, 3) + Fraction(2, 7 * g) - Fraction(5, g**3)) for g in range(20, 31)
     ]
@@ -116,6 +116,79 @@ def test_fit_floats_have_the_precision_they_are_tagged_with():
             for x in fit.coefficients + fit.error_estimates:
                 assert x.precision_bits == bits
                 assert x.value._mpf_[3] <= bits
+
+
+def _exact(x) -> Fraction:
+    # The value of an mpf, exactly.
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def _round_once(q: Fraction, bits: int) -> Fraction:
+    # q rounded to nearest, ties to even, at a mantissa of `bits` bits.
+    if q == 0:
+        return q
+    a = abs(q)
+    e = a.numerator.bit_length() - a.denominator.bit_length() - bits
+    while a / Fraction(2) ** e >= 2**bits:
+        e += 1
+    while a / Fraction(2) ** e < 2 ** (bits - 1):
+        e -= 1
+    r = round(a / Fraction(2) ** e) * Fraction(2) ** e
+    return r if q > 0 else -r
+
+
+def _fraction_solve(pts, K):
+    # Gauss-Jordan over Fractions on sum_k c_k / g^k = v.
+    rows = [[Fraction(1, g**k) for k in range(K + 1)] + [v] for g, v in pts]
+    for col in range(K + 1):
+        piv = next(r for r in range(col, K + 1) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(K + 1):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+def _reference_fit(samples, K, bits):
+    # Each sample rounded once as richardson_fit rounds it, then both
+    # windows solved exactly, then each coefficient and bar rounded once.
+    pts = sorted(
+        (g, _exact((v if isinstance(v, PiScaled) else PiScaled(Fraction(v), 0)).to_mpf(bits)))
+        for g, v in samples
+    )
+    top = _fraction_solve(pts[-(K + 1):], K)
+    shift = min(5, len(pts) - (K + 1))
+    alt = _fraction_solve(pts[-(K + 1) - shift : len(pts) - shift], K) if shift else top
+    return (
+        [_round_once(c, bits) for c in top],
+        [_round_once(abs(c - a), bits) for c, a in zip(top, alt)],
+    )
+
+
+def test_fits_are_correctly_rounded():
+    # Every coefficient and bar is the exact solution of the rounded
+    # samples, rounded once: no rounding inside the solve, and the
+    # right power of g in the interpolation.
+    synthetic = [
+        (g, Fraction(1, 3) + Fraction(2, 7 * g) - Fraction(5, g**3) + Fraction(1, 11 * g**9))
+        for g in range(20, 41)
+    ]
+    for bits in (64, 128, 320):
+        for K in range(9):
+            fits = [
+                (richardson_fit(synthetic, K, bits), synthetic),
+                (estimate_m(0, 36, K, bits),
+                 [(g, normalize_vol(g, 0, agn_from_series(g, 0))) for g in range(31 - K, 37)]),
+                (estimate_C(2, 36, K, bits), [(g, sv_constant(g, 2)) for g in range(31 - K, 37)]),
+            ]
+            for fit, samples in fits:
+                coeffs, bars = _reference_fit(samples, K, bits)
+                assert [_exact(c.value) for c in fit.coefficients] == coeffs, (bits, K)
+                assert [_exact(b.value) for b in fit.error_estimates] == bars, (bits, K)
 
 
 def test_richardson_takes_exact_samples_only():
@@ -134,6 +207,8 @@ def test_richardson_input_errors(monkeypatch):
         richardson_fit([(20, 1), (21, 2)], -1)
     with pytest.raises(ValueError, match="precision below 64 bits"):
         richardson_fit([(20, 1), (21, 2), (22, 3)], 1, precision_bits=32)
+    with pytest.raises(ValueError, match="no expansion in 1/g"):
+        richardson_fit([(0, 1), (1, 2), (2, 3)], 1)
     # bad inputs are rejected before the first sample is built
     monkeypatch.setattr(asym, "agn_from_series", None)
     monkeypatch.setattr(asym, "sv_constant", None)

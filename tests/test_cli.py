@@ -176,8 +176,8 @@ def test_support_error_reports_one_line(capsys, monkeypatch):
     g = 3
     genus.tilde_u(g - 1)
     tower = genus._tower[:g]
-    tu, u = tower[g - 1]
-    tower[g - 1] = (tu.scale(1 - Fraction(209, 81)), u)
+    tu, *rest = tower[g - 1]
+    tower[g - 1] = (tu.scale(1 - Fraction(209, 81)), *rest)
     monkeypatch.setattr(genus, "_tower", tower)
     monkeypatch.setattr(genus, "_rows", {})
     code, out, err = run(capsys, "genus", "--g", str(g))

@@ -1,12 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from mvlab import genus
 from mvlab.agn import a_direct
-from mvlab.exact import GenusBlock, LaurentT, laurent_dt
+from mvlab.exact import GenusBlock, LaurentT, bernoulli, laurent_dt
 from mvlab.genus import (
     agn_from_series,
     closed_H,
@@ -141,24 +141,52 @@ def test_series_closed_forms_low_genus():
 
 
 def test_series_rows_are_built_once(monkeypatch):
-    # Every series quantity of genus g reads one cached C row, so the
-    # profile u^[g] is assembled once however many cells are asked for.
+    # Every series quantity of genus g reads the one tower entry of
+    # genus g, so the profiles are built once however many cells are
+    # asked for: up to genus 9 the tower applies D_T^(2g1) once per
+    # genus h = g1..9, and takes no derivative after that.
+    monkeypatch.setattr(genus, "_tower", genus._tower[:1])
     monkeypatch.setattr(genus, "_rows", {})
     monkeypatch.setattr(genus, "_series", {})
-    built = Counter()
-    profile = genus.u_from_tilde
+    calls = Counter()
+    dt = genus.laurent_dt
 
-    def counted(g):
-        built[g] += 1
-        return profile(g)
+    def counted(p, k=1):
+        calls[k] += 1
+        return dt(p, k)
 
-    monkeypatch.setattr(genus, "u_from_tilde", counted)
+    monkeypatch.setattr(genus, "laurent_dt", counted)
     for g in (2, 5, 9):
         for n in range(31):
             agn_from_series(g, n)
         coeffs_C(g)
         hg_block(g)
-    assert built == {2: 1, 5: 1, 9: 1}
+    assert len(genus._tower) == 10
+    assert calls == {2 * g1: 10 - g1 for g1 in range(1, 10)}
+
+
+def test_series_cells_match_rising_product_sum():
+    # The rising-product sum over the C row, one Fraction per term: the
+    # n >= 2 cells cancel its factors m(m+2) against C's denominators.
+    for g in range(2, 41):
+        C = coeffs_C(g).C
+        for n in range(41):
+            want = Fraction(0)
+            for j, c in enumerate(C):
+                m = 5 * g - 5 - j
+                want += c * prod(range(m, m + 2 * n, 2))
+            assert agn_from_series(g, n) == want, (g, n)
+
+
+def test_tower_rebuilds_after_truncation(monkeypatch):
+    # Each genus keeps its Bernoulli weights in its own tower entry, so
+    # a tower cut back to genus 0 rebuilds the same profiles.
+    want = [(tilde_u(g), u_from_tilde(g)) for g in range(41)]
+    monkeypatch.setattr(genus, "_tower", genus._tower[:1])
+    assert [(tilde_u(g), u_from_tilde(g)) for g in range(41)] == want
+    for g in range(1, 41):
+        w = abs(bernoulli(2 * g)) / factorial(2 * g)
+        assert genus._tower[g][2:] == (w, w * (1 - Fraction(2, 4**g))), g
 
 
 def _at_one(p):

@@ -96,7 +96,8 @@ def test_sv_alternate_source():
 
 
 def _sv_term_by_term(g, n):
-    """The area bracket with one Fraction operation per term."""
+    """The area bracket with one Fraction operation per term, summed over
+    ordered pairs (g1, n1), (g2, n2)."""
     a = agn_from_series(g, n)
     bracket = Fraction(0)
     if n >= 2:
