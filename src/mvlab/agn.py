@@ -14,6 +14,11 @@ and the convolution kernel P_{g,nu} carries its 1/nu!. Each row is a
 genus's cells are filled, so a cell's quadratic sum is one integer dot
 product per unordered genus pair. The rows are the only store of the
 cells, which are read back from them as int pairs.
+
+Domain rule: every method answers every (g, n). A pair with no stratum
+is 0, and each recursion returns the series reconstruction on the
+columns it cannot express: n = 0 for ``a_direct``, n < 2 for ``a_alt``.
+``route`` maps a method name to its cell function.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "a_alt",
     "AgnTable",
     "METHODS",
+    "route",
     "build_table",
     "save_table",
     "load_table",
@@ -92,12 +98,8 @@ def _direct_entry(g: int, k: int) -> Fraction:
 def a_direct(g: int, n: int) -> Fraction:
     """a_{g,n} by the binomial recursion in n.
 
-    Valid for every (g, n); out-of-domain pairs are zero by convention.
-    Cells are filled bottom-up, each genus's row in order of n, and the
-    recursion never reaches n = 0, so the n = 0 column at g >= 2 is
-    delegated to the genus-series reconstruction (the one spot where
-    this path leans on another module; the alternating recursion has
-    the same blind spot).
+    Cells are filled bottom-up, each genus's row in order of n. The
+    recursion never reaches n = 0: that column is the series value.
     """
     if _is_structural_zero(g, n):
         return Fraction(0)
@@ -159,13 +161,13 @@ def _alt_entry(g: int, k: int) -> Fraction:
 
 
 def a_alt(g: int, n: int) -> Fraction:
-    """a_{g,n} by the alternating-sign recursion; defined for n >= 2 only.
+    """a_{g,n} by the alternating-sign recursion.
 
-    The n < 2 columns are out of this recursion's domain. Cells are
-    filled bottom-up, each genus's rows in order of nu = n - 2.
+    Cells are filled bottom-up, each genus's rows in order of nu = n - 2.
+    The recursion starts at n = 2: the n < 2 columns are series values.
     """
     if n < 2:
-        raise ValueError("a_alt is defined for n >= 2")
+        return agn_from_series(g, n)
     if _is_structural_zero(g, n):
         return Fraction(0)
     _grow(_alt_rows, g, n, 2, _alt_entry)
@@ -175,10 +177,9 @@ def a_alt(g: int, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class AgnTable:
-    """Immutable map (g, n) -> a_{g,n} with the method that filled it."""
+    """Immutable map (g, n) -> a_{g,n}."""
 
     entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-    method_tag: str = "direct"
 
     def value(self, g: int, n: int) -> Fraction:
         return self.entries[(g, n)]
@@ -187,34 +188,34 @@ class AgnTable:
         return len(self.entries)
 
 
-METHODS = ("direct", "alt", "series")
+_ROUTES = {"direct": "a_direct", "alt": "a_alt", "series": "agn_from_series"}
+METHODS = tuple(_ROUTES)
+
+
+def route(method: str):
+    """The cell function (g, n) -> a_{g,n} of a method in METHODS.
+
+    It is read from the module globals at each call, so a rebinding of
+    one (a wrapper, an injected fault) reaches every caller.
+    """
+    if method not in _ROUTES:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    return globals()[_ROUTES[method]]
 
 
 def build_table(gmax: int, nmax: int, method: str = "direct") -> AgnTable:
-    """Fill every cell g <= gmax, n <= nmax with the chosen method.
-
-    Cells are filled genus by genus. Methods "direct" and "alt" fall
-    back to the series reconstruction only on the columns their
-    recursion cannot express (n = 0 for "direct" at g >= 2, n < 2 for
-    "alt").
-    """
+    """Fill every cell g <= gmax, n <= nmax, genus by genus, by route(method)."""
     if gmax < 0 or nmax < 0:
         raise ValueError("table bounds must be nonnegative")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    cell = route(method)
     entries: dict[tuple[int, int], Fraction] = {}
     for g in range(gmax + 1):
         for n in range(nmax + 1):
-            if method == "direct":
-                v = a_direct(g, n)
-            elif method == "alt":
-                v = a_alt(g, n) if n >= 2 else agn_from_series(g, n)
-            else:
-                v = agn_from_series(g, n)
+            v = cell(g, n)
             if not _is_structural_zero(g, n) and v <= 0:
                 raise AssertionError(f"a_({g},{n}) = {v} is not positive")
             entries[(g, n)] = v
-    return AgnTable(entries, method)
+    return AgnTable(entries)
 
 
 class TableFormatError(Exception):
@@ -268,4 +269,4 @@ def load_table(path: str | Path) -> AgnTable:
         if (g, n) in entries:
             raise TableFormatError(f"line {lineno}: duplicate key ({g},{n})")
         entries[(g, n)] = v
-    return AgnTable(entries, "loaded")
+    return AgnTable(entries)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .agn import METHODS, TableFormatError, build_table, load_table, save_table
+from .agn import METHODS, TableFormatError, build_table, load_table, route, save_table
 from .asym import compare_report
 from .genus import SupportError, coeffs_C
 from .verify import SUITES, run_suite
@@ -83,14 +83,7 @@ def _pi_output(g: int, n: int, v: PiScaled, numeric_bits: int | None = None) -> 
 
 
 def _cmd_agn(args) -> Output:
-    from . import agn, genus
-
-    fn = {
-        "direct": agn.a_direct,
-        "alt": agn.a_alt,
-        "series": genus.agn_from_series,
-    }[args.method]
-    val = str(fn(args.g, args.n))
+    val = str(route(args.method)(args.g, args.n))
     row = {"g": args.g, "n": args.n, "value": val}
     return Output(row, [row], [val])
 

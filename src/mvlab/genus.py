@@ -149,7 +149,6 @@ def u_direct(g: int) -> LaurentT:
 
 @dataclass(frozen=True)
 class GenusCoeffs:
-    g: int
     C: tuple[Fraction, ...]
 
 
@@ -172,7 +171,7 @@ def coeffs_C(g: int) -> GenusCoeffs:
         for j in range(g + 1):
             c = u.coeff(-(5 * g - 1 - j))
             vals.append(c / ((5 * g - 3 - j) * (5 * g - 5 - j)))
-        _rows[g] = GenusCoeffs(g, tuple(vals))
+        _rows[g] = GenusCoeffs(tuple(vals))
     return _rows[g]
 
 
@@ -218,8 +217,9 @@ _series: dict[tuple[int, int], Fraction] = {}
 def agn_from_series(g: int, n: int) -> Fraction:
     """a_{g,n} rebuilt from genus data, no table recursion involved.
 
-    Genus 0 and 1 come from derivatives of the closed genus blocks.
-    Genus >= 2 uses 2^n * sum_j C_{g,j} * rising((5g-5-j)/2, n), where
+    Genus 0 and 1 are closed forms: a_{0,n} = (2n-7)!! and
+    a_{1,n} = (2^(n-1) (n-1)! + (2n-3)!!)/24. Genus >= 2 uses
+    2^n * sum_j C_{g,j} * rising((5g-5-j)/2, n), where
     2^n * rising(m/2, n) = m(m+2)...(m+2n-2) is an integer. For n >= 2
     its factors m(m+2) cancel the division by (5g-5-j)(5g-3-j) that
     forms C_{g,j} from U_j, the numerator of u^[g] at T^-(5g-1-j); so

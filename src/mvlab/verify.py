@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .agn import a_alt, a_direct, build_table
+from .agn import METHODS, build_table, route
 from .funceq import verify_functional_eqs
-from .genus import agn_from_series, coeffs_C
+from .genus import coeffs_C
 from .volumes import (
     cg_seq,
     lambda_g_value,
@@ -89,8 +89,8 @@ def _suite_paths(gmax) -> list[VerifyCase]:
     cases = []
     for g in range(gmax + 1):
         for n in range(9):
-            d = a_direct(g, n)
-            ok = agn_from_series(g, n) == d and (n < 2 or a_alt(g, n) == d)
+            d, *others = (route(m)(g, n) for m in METHODS)
+            ok = all(v == d for v in others)
             cases.append(VerifyCase(f"paths({g},{n})", ok, "" if ok else f"direct {d}"))
     return cases
 

@@ -38,10 +38,14 @@ class PiScaled:
     pi_half_exponent: int
 
     def to_mpf(self, bits: int = 320) -> mp.mpf:
-        """Round to an mpf at `bits`: the package's one exact-to-float step.
+        """Round to an mpf at `bits`.
 
-        A negative exponent divides by pi^(|e|/2): multiplying by the
-        rounded pi^(e/2) instead can change the last bit.
+        The numerator, its quotient by the denominator and pi^(e/2) are
+        each rounded at `bits`, so the result can be several ulps from the
+        correctly rounded value (ROADMAP item 7). A negative exponent
+        divides by pi^(|e|/2): multiplying by the rounded pi^(e/2) instead
+        can change the last bit. `MPoly.eval_mpf` and the fit's
+        `from_rational` also make floats.
         """
         _check_precision(bits)
         e = self.pi_half_exponent

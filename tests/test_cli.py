@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvlab import asym, cli, genus
-from mvlab.agn import build_table, save_table
+from mvlab.agn import METHODS, build_table, save_table
 from mvlab.cli import main, resolve_cache_dir
 from mvlab.verify import VerifyCase, VerifyResult
 
@@ -33,6 +33,24 @@ def test_agn_methods_agree(capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+@given(
+    st.integers(-3, 6),
+    st.integers(-3, 9),
+    st.sampled_from(("plain", "json", "csv")),
+)
+@settings(max_examples=200, deadline=None)
+def test_agn_methods_answer_every_cell_alike(g, n, fmt):
+    # One domain rule: no method rejects a cell that another computes.
+    seen = set()
+    for method in METHODS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["agn", "--g", str(g), "--n", str(n), "--method", method,
+                         "--format", fmt])
+        seen.add((code, out.getvalue()))
+    assert len(seen) == 1, (g, n, fmt, seen)
 
 
 def test_agn_json_round_trips(capsys):
