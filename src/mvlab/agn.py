@@ -23,12 +23,11 @@ columns it cannot express: n = 0 for ``a_direct``, n < 2 for ``a_alt``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .exact import DenseRow, cauchy_coeff, fraction_sum
+from .exact import DenseRow, Frozen, cauchy_coeff, fraction_sum
 from .genus import _is_structural_zero, agn_from_series
 
 __all__ = [
@@ -175,11 +174,13 @@ def a_alt(g: int, n: int) -> Fraction:
     return Fraction(row.nums[n - 2], row.den)
 
 
-@dataclass(frozen=True)
-class AgnTable:
-    """Immutable map (g, n) -> a_{g,n}."""
+class AgnTable(Frozen):
+    """Immutable map (g, n) -> a_{g,n}; its length is its entry count."""
 
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[tuple[int, int], Fraction]):
+        object.__setattr__(self, "entries", entries)
 
     def value(self, g: int, n: int) -> Fraction:
         return self.entries[(g, n)]

@@ -13,16 +13,18 @@ and solve their windows exactly, with integer Lagrange weights in g;
 every coefficient and error bar is rounded to nearest at that precision
 once, from its exact value, so a BigFloat's tag is its mantissa width
 and the value is the correctly rounded fit of the rounded samples.
+
+mpmath is imported when the first float is made, inside the functions
+that make or print floats (PiScaled.to_mpf, MPoly.eval_mpf,
+richardson_fit, _judge, compare_report), so importing this module
+does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
-
-import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest
+from typing import NamedTuple
 
 from .genus import agn_from_series
 from .volumes import PiScaled, _check_precision, _check_stratum, sv_constant
@@ -42,16 +44,14 @@ __all__ = [
     "compare_report",
 ]
 
-@dataclass(frozen=True)
-class BigFloat:
+class BigFloat(NamedTuple):
     """An mpmath float tagged with the precision it was rounded to."""
 
     value: object
     precision_bits: int
 
 
-@dataclass(frozen=True)
-class MPoly:
+class MPoly(NamedTuple):
     """A polynomial in M = -pi^2/144 with rational coefficients.
 
     m_coeffs[i] multiplies M^i. Instances here come from specializing
@@ -61,6 +61,8 @@ class MPoly:
     m_coeffs: tuple
 
     def eval_mpf(self, bits: int = 320) -> mp.mpf:
+        import mpmath as mp
+
         with mp.workprec(bits):
             m_val = -(mp.pi**2) / 144
             acc = mp.mpf(0)
@@ -69,8 +71,7 @@ class MPoly:
             return +acc
 
 
-@dataclass(frozen=True)
-class AsymFit:
+class AsymFit(NamedTuple):
     """Result of a windowed 1/g fit.
 
     coefficients come from exact interpolation on the top K+1 samples.
@@ -158,6 +159,9 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     coefficient c and each bar |c - a| against the shifted window's a is
     then rounded to nearest at precision_bits once, from its exact value.
     """
+    import mpmath as mp
+    from mpmath.libmp import from_rational, round_nearest
+
     if K < 0:
         raise ValueError(f"fit order K must be nonnegative, got {K}")
     _check_precision(precision_bits)
@@ -320,8 +324,7 @@ def _sv_reference(k: int, n: int) -> MPoly:
     return MPoly(tuple(c0 * x for x in c.m_coeffs))
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(NamedTuple):
     target: str
     n: int
     k: int
@@ -332,8 +335,7 @@ class CompareRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     gmax: int
     K: int
     rows: tuple
@@ -350,6 +352,8 @@ _TOL_C = {0: ("abs", 1e-8), 1: ("rel", 1e-3), 2: ("rel", 1e-3)}
 
 
 def _judge(k: int, est, bar, ref, tol_table) -> tuple[bool, mp.mpf]:
+    import mpmath as mp
+
     dev = abs(est - ref)
     rel = dev / abs(ref) if ref != 0 else mp.inf
     if k <= 2:
@@ -373,6 +377,8 @@ def compare_report(
     volumes ("vol", against m_k), area constants ("sv", against C_0 and
     then C_0 * C_k), or both.
     """
+    import mpmath as mp
+
     if target not in ("vol", "sv", "both"):
         raise ValueError("target must be vol, sv, or both")
     n_list = tuple(n_list)  # iterated once per target

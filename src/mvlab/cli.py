@@ -14,11 +14,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
-
-import mpmath as mp
 
 from .agn import METHODS, TableFormatError, build_table, load_table, route, save_table
 from .asym import compare_report
@@ -76,6 +73,8 @@ def _pi_output(g: int, n: int, v: PiScaled, numeric_bits: int | None = None) -> 
     }
     line = str(v)
     if numeric_bits is not None:
+        import mpmath as mp
+
         digits = max(1, int(numeric_bits * 0.30103))
         doc["approx"] = mp.nstr(v.to_mpf(numeric_bits), digits)
         line += f"  ~ {doc['approx']}"
@@ -121,7 +120,7 @@ def _cmd_genus(args) -> Output:
 
 def _cmd_verify(args) -> Output:
     result = run_suite(args.suite, args.gmax)
-    cases = [asdict(c) for c in result.cases]
+    cases = [c._asdict() for c in result.cases]
     fails = [f"FAIL {c.name}: {c.detail}" for c in result.cases if not c.passed]
     return Output(
         {"suite": result.suite, "cases": cases, "pass": result.passed},
@@ -133,7 +132,7 @@ def _cmd_verify(args) -> Output:
 
 def _cmd_asym(args) -> Output:
     report = compare_report(args.n, args.gmax, args.order, args.target, args.bits)
-    cases = [asdict(r) for r in report.rows]
+    cases = [r._asdict() for r in report.rows]
     lines = [
         f"{r.target} n={r.n} k={r.k}: estimate={r.estimate} "
         f"bar={r.error_bar} reference={r.reference} "

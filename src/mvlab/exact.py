@@ -6,23 +6,25 @@ numbers, double factorials, the Pochhammer symbol, Gaussian rationals,
 growing rows of rationals over one denominator with their Cauchy
 coefficient, the integer convolution, Laurent polynomials in T (int
 numerators over one denominator) with their weighted-sum kernel and the
-derivation D_T = d/dx acting as D_T(T^e) = -e*T^(e-2), and genus blocks
-that pair a Laurent part with a log(1/T) coefficient.
+derivation D_T = d/dx acting as D_T(T^e) = -e*T^(e-2), genus blocks
+that pair a Laurent part with a log(1/T) coefficient, and ``Frozen``,
+the base of the immutable records that must not be tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from itertools import accumulate
+from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "bernoulli",
     "double_factorial",
     "pochhammer",
     "fraction_sum",
+    "Frozen",
     "DenseRow",
     "cauchy_coeff",
     "convolve_into",
@@ -33,26 +35,36 @@ __all__ = [
     "GenusBlock",
 ]
 
-_bernoulli_cache: dict[int, Fraction] = {0: Fraction(1)}
+_bernoulli_cache: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
+# The last row of the Seidel-Entringer triangle built so far. Row r ends
+# in the Euler zigzag number E_r, and E_(2n-1) is the tangent number T_n.
+_entringer_row = [1]
 
 
 def bernoulli(m: int) -> Fraction:
     """Return the Bernoulli number B_m, in the convention B_1 = -1/2.
 
-    Uses the defining recurrence sum(C(m+1, k) * B_k for k in 0..m) = 0
-    and memoizes every value computed along the way.
+    B_2n = (-1)^(n-1) * 2n * T_n / (4^n * (4^n - 1)), from the integer
+    tangent numbers T_n. Those are read off the Seidel-Entringer
+    triangle, whose row r is 0 followed by the running sums of row r-1
+    reversed. Only the last row is kept: each call extends it from where
+    the previous one stopped, and memoizes every B_2n passed on the way.
     """
+    global _entringer_row
     if m < 0:
         raise ValueError("bernoulli index must be nonnegative")
+    if m > 1 and m % 2:
+        return Fraction(0)
     bs = _bernoulli_cache
     if m not in bs:
-        for k in range(1, m + 1):
-            if k in bs:
-                continue
-            acc = fraction_sum(
-                (comb(k + 1, j) * bs[j].numerator, bs[j].denominator) for j in range(k)
-            )
-            bs[k] = -acc / (k + 1)
+        row = _entringer_row
+        while len(row) < m:  # B_m is read off row m - 1
+            row = [0, *accumulate(reversed(row))]
+            if len(row) % 2 == 0:
+                n = len(row) // 2
+                q = 4**n
+                bs[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * row[-1], q * (q - 1))
+        _entringer_row = row
     return bs[m]
 
 
@@ -154,12 +166,48 @@ def convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
             acc[j:k] = [s + x * y for s, x in zip(acc[j:k], a)]
 
 
-@dataclass(frozen=True)
-class GaussianRat:
+class Frozen:
+    """Base of the immutable records that must not be tuples.
+
+    A subclass names its fields in __slots__ and sets them once, in
+    __init__, through object.__setattr__. Equality, hash and repr follow
+    the fields, as for a frozen dataclass. Unlike a NamedTuple, the
+    record takes no length, + or int * from tuple: each subclass defines
+    the ones it has, and the others raise TypeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class GaussianRat(Frozen):
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @staticmethod
     def from_rational(q: Fraction | int) -> "GaussianRat":
@@ -354,8 +402,7 @@ def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
     return LaurentT._make(p._lo - 2 * k, nums, p._den)
 
 
-@dataclass(frozen=True)
-class GenusBlock:
+class GenusBlock(NamedTuple):
     """A Laurent polynomial in T plus an optional log(1/T) multiple.
 
     Only the genus-1 block carries a nonzero log coefficient.

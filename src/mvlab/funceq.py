@@ -12,9 +12,9 @@ the checked window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
+from typing import NamedTuple
 
 from .agn import a_direct
 from .exact import convolve_into
@@ -136,8 +136,7 @@ def _expand(table, gmax: int, nbuild: int, top) -> tuple[BiSeries, BiSeries, BiS
                  for rows in (h, s, d))
 
 
-@dataclass(frozen=True)
-class FunceqFailure:
+class FunceqFailure(NamedTuple):
     """One nonzero residual coefficient, at x^x_power eps^eps_power.
 
     value is the exact rational coefficient. The offset-cubic residual
@@ -150,8 +149,7 @@ class FunceqFailure:
     value: str
 
 
-@dataclass(frozen=True)
-class FunceqReport:
+class FunceqReport(NamedTuple):
     nx: int
     gmax: int
     checked: int

@@ -13,9 +13,9 @@ second-order ODE in x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from typing import NamedTuple
 
 from .exact import (
     GenusBlock,
@@ -147,8 +147,7 @@ def u_direct(g: int) -> LaurentT:
     return _u_direct[g]
 
 
-@dataclass(frozen=True)
-class GenusCoeffs:
+class GenusCoeffs(NamedTuple):
     C: tuple[Fraction, ...]
 
 

@@ -7,8 +7,8 @@ as the fixed reference the rest of the machinery must reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .agn import METHODS, build_table, route
 from .funceq import verify_functional_eqs
@@ -47,15 +47,13 @@ GOLDEN_TABLE1: dict[tuple[int, int], Fraction] = {
 }
 
 
-@dataclass(frozen=True)
-class VerifyCase:
+class VerifyCase(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     suite: str
     cases: tuple
 

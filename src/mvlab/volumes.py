@@ -2,20 +2,18 @@
 
 Every quantity here is an exact rational multiple of a (half-integer)
 power of pi, carried by PiScaled. Numeric output happens only on
-request, at a stated precision.
+request, at a stated precision: mpmath is imported when the first float
+is made, by PiScaled.to_mpf, so exact work never loads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-import mpmath as mp
-
 from .agn import a_direct
-from .exact import bernoulli, double_factorial, fraction_sum
+from .exact import Frozen, bernoulli, double_factorial, fraction_sum
 from .genus import _is_structural_zero, agn_from_series
 
 __all__ = [
@@ -30,12 +28,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PiScaled:
+class PiScaled(Frozen):
     """An exact value coeff * pi^(pi_half_exponent / 2)."""
 
-    coeff: Fraction
-    pi_half_exponent: int
+    __slots__ = ("coeff", "pi_half_exponent")
+
+    def __init__(self, coeff: Fraction, pi_half_exponent: int):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "pi_half_exponent", pi_half_exponent)
 
     def to_mpf(self, bits: int = 320) -> mp.mpf:
         """Round to an mpf at `bits`.
@@ -47,6 +47,8 @@ class PiScaled:
         can change the last bit. `MPoly.eval_mpf` and the fit's
         `from_rational` also make floats.
         """
+        import mpmath as mp
+
         _check_precision(bits)
         e = self.pi_half_exponent
         with mp.workprec(bits):

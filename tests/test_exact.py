@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvlab import exact
 from mvlab.exact import (
     GaussianRat,
     GenusBlock,
@@ -63,6 +64,28 @@ def test_bernoulli_matches_term_by_term_recurrence():
     for m in range(201):
         assert bernoulli(m) == want[m], m
     assert bernoulli(1) == Fraction(-1, 2)
+
+
+def test_bernoulli_von_staudt_clausen():
+    # B_2n + sum(1/p over the primes p with (p - 1) | 2n) is an integer,
+    # so den(B_2n) is the product of those primes; B_2n > 0 for odd n.
+    primes = [p for p in range(2, 502) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for m in range(2, 501, 2):
+        ps = [p for p in primes if m % (p - 1) == 0]
+        b = bernoulli(m)
+        assert b.denominator == math.prod(ps), m
+        assert (b + sum(Fraction(1, p) for p in ps)).denominator == 1, m
+        assert (b > 0) == (m % 4 == 2), m
+
+
+def test_bernoulli_extends_a_cold_memo_in_any_order(monkeypatch):
+    want = {m: bernoulli(m) for m in range(121)}
+    monkeypatch.setattr(exact, "_bernoulli_cache", {0: Fraction(1), 1: Fraction(-1, 2)})
+    monkeypatch.setattr(exact, "_entringer_row", [1])
+    for m in (40, 7, 120, 2, 41, 0, 1, 80, 119, 64, 121):
+        assert bernoulli(m) == want.get(m, 0), m
+    # The triangle was extended once, to row 119, the row B_120 is read off.
+    assert len(exact._entringer_row) == 120
 
 
 def test_bernoulli_matches_term_by_term_recurrence_and_sympy():
