@@ -91,8 +91,8 @@ def _cmd_table(args) -> Output:
     out = Path(args.out) if args.out else (
         resolve_cache_dir(args.cache_dir) / f"agn_g{args.gmax}_n{args.nmax}.txt"
     )
-    out.parent.mkdir(parents=True, exist_ok=True)
     table = build_table(args.gmax, args.nmax, args.method)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, out)
     return Output(
         {"entries": len(table), "gmax": args.gmax, "nmax": args.nmax, "out": str(out)},

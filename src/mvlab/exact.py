@@ -169,11 +169,11 @@ def convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
 class Frozen:
     """Base of the immutable records that must not be tuples.
 
-    A subclass names its fields in __slots__ and sets them once, in
-    __init__, through object.__setattr__. Equality, hash and repr follow
-    the fields, as for a frozen dataclass. Unlike a NamedTuple, the
-    record takes no length, + or int * from tuple: each subclass defines
-    the ones it has, and the others raise TypeError.
+    A subclass names its fields in __slots__ and sets them once, when
+    the record is made, through object.__setattr__. Equality, hash and
+    repr follow the fields, as for a frozen dataclass. Unlike a
+    NamedTuple, the record takes no length, + or int * from tuple: each
+    subclass defines the ones it has, and the others raise TypeError.
     """
 
     __slots__ = ()
@@ -242,7 +242,7 @@ class GaussianRat(Frozen):
         return f"({self.re})+({self.im})i"
 
 
-class LaurentT:
+class LaurentT(Frozen):
     """Finite Laurent polynomial in T with exact rational coefficients.
 
     Immutable and dense: the coefficient of T^(lo + i) is nums[i] / den
@@ -286,9 +286,6 @@ class LaurentT:
         res._set(lo, nums, den)
         return res
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentT is immutable")
-
     @staticmethod
     def monomial(e: int, c: Fraction | int = 1) -> "LaurentT":
         return LaurentT({e: Fraction(c)})
@@ -318,13 +315,6 @@ class LaurentT:
 
     def is_zero(self) -> bool:
         return not self._nums
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentT) and (
-            self._lo, self._nums, self._den) == (other._lo, other._nums, other._den)
-
-    def __hash__(self) -> int:
-        return hash((self._lo, self._nums, self._den))
 
     def __add__(self, other: "LaurentT") -> "LaurentT":
         return weighted_sum(((1, self), (1, other)))

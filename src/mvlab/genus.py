@@ -14,7 +14,7 @@ second-order ODE in x.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from .exact import (
@@ -22,7 +22,6 @@ from .exact import (
     LaurentT,
     bernoulli,
     double_factorial,
-    fraction_sum,
     laurent_dt,
     weighted_sum,
 )
@@ -151,27 +150,31 @@ class GenusCoeffs(NamedTuple):
     C: tuple[Fraction, ...]
 
 
-_rows: dict[int, GenusCoeffs] = {}
+def _numerators(g: int) -> tuple[tuple[int, ...], int]:
+    """(U, den) for g >= 2: U_j / den is the coefficient of T^-(5g-1-j)
+    in u^[g], j = 0..g, that is C_{g,j} * m(m+2) with m = 5g-5-j.
+
+    `coeffs_C` and `agn_from_series` read their genus data only from
+    here. The support check puts U_0 at the lowest exponent, -(5g-1).
+    """
+    _, nums, den = u_from_tilde(g).dense()
+    return nums, den
 
 
 def coeffs_C(g: int) -> GenusCoeffs:
     """C_{g,j} for j = 0..g, read off the u^[g] profile.
 
-    C_{g,j} is the coefficient of T^-(5g-1-j) in u^[g] divided by
-    (5g-3-j)*(5g-5-j). The support of u^[g] must be exactly the g+1
-    exponents -(5g-1)..-(4g-1); anything else is an internal error.
-    Each row is built once.
+    C_{g,j} = U_j / ((5g-5-j)(5g-3-j) den), with U_j / den the
+    coefficient of T^-(5g-1-j) in u^[g]. The support of u^[g] must be
+    exactly the g+1 exponents -(5g-1)..-(4g-1); anything else is an
+    internal error. The row is not kept: the tower keeps u^[g].
     """
     if g < 2:
         raise ValueError("coeffs_C needs g >= 2")
-    if g not in _rows:
-        u = u_from_tilde(g)
-        vals = []
-        for j in range(g + 1):
-            c = u.coeff(-(5 * g - 1 - j))
-            vals.append(c / ((5 * g - 3 - j) * (5 * g - 5 - j)))
-        _rows[g] = GenusCoeffs(tuple(vals))
-    return _rows[g]
+    nums, den = _numerators(g)
+    return GenusCoeffs(tuple(
+        Fraction(U, (5 * g - 5 - j) * (5 * g - 3 - j) * den) for j, U in enumerate(nums)
+    ))
 
 
 # Row c_{g,j} of kazarian_c as a polynomial in y, with c_{g,j} at y^j.
@@ -218,13 +221,14 @@ def agn_from_series(g: int, n: int) -> Fraction:
 
     Genus 0 and 1 are closed forms: a_{0,n} = (2n-7)!! and
     a_{1,n} = (2^(n-1) (n-1)! + (2n-3)!!)/24. Genus >= 2 uses
-    2^n * sum_j C_{g,j} * rising((5g-5-j)/2, n), where
-    2^n * rising(m/2, n) = m(m+2)...(m+2n-2) is an integer. For n >= 2
-    its factors m(m+2) cancel the division by (5g-5-j)(5g-3-j) that
-    forms C_{g,j} from U_j, the numerator of u^[g] at T^-(5g-1-j); so
-    the cell is sum_j U_j (m+4)(m+6)...(m+2n-2) / den(u^[g]), one int
-    dot product and one Fraction. n = 0 and 1 sum the C row. The
-    genus >= 2 cells are memoized.
+    2^n * sum_j C_{g,j} * rising(m/2, n), m = 5g-5-j, where
+    2^n * rising(m/2, n) = m(m+2)...(m+2n-2). With C_{g,j} =
+    U_j / (m(m+2) den), term j is U_j (m+4)(m+6)...(m+2n-2) / t_j over
+    den, where the divisor t_j is what the rising product leaves of
+    m(m+2): m(m+2) at n = 0, m+2 at n = 1 and 1 for n >= 2. The terms
+    are summed as ints over L = lcm(t_j), so n >= 2 is one int dot
+    product, and one Fraction is reduced at the end. The genus >= 2
+    cells are memoized.
     """
     if _is_structural_zero(g, n):
         return Fraction(0)
@@ -233,20 +237,14 @@ def agn_from_series(g: int, n: int) -> Fraction:
     if g == 1:
         return Fraction(2 ** (n - 1) * factorial(n - 1) + double_factorial(2 * n - 3), 24)
     if (g, n) not in _series:
-        if n >= 2:
-            # The support check puts U_0 at the lowest exponent, -(5g-1).
-            _, nums, den = u_from_tilde(g).dense()
-            total = 0
-            for j, U in enumerate(nums):
-                m = 5 * g - 5 - j
-                total += U * prod(range(m + 4, m + 2 * n, 2))
-            _series[(g, n)] = Fraction(total, den)
-        else:
-            terms = []
-            for j, c in enumerate(coeffs_C(g).C):
-                m = 5 * g - 5 - j
-                terms.append((c.numerator * prod(range(m, m + 2 * n, 2)), c.denominator))
-            _series[(g, n)] = fraction_sum(terms)
+        nums, den = _numerators(g)
+        ms = range(5 * g - 5, 4 * g - 6, -1)
+        ts = [prod(range(m + 2 * n, m + 4, 2)) for m in ms]
+        L = lcm(*ts)
+        total = sum(
+            U * prod(range(m + 4, m + 2 * n, 2)) * (L // t) for U, m, t in zip(nums, ms, ts)
+        )
+        _series[(g, n)] = Fraction(total, den * L)
     return _series[(g, n)]
 
 

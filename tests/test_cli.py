@@ -197,7 +197,6 @@ def test_support_error_reports_one_line(capsys, monkeypatch):
     tu, *rest = tower[g - 1]
     tower[g - 1] = (tu.scale(1 - Fraction(209, 81)), *rest)
     monkeypatch.setattr(genus, "_tower", tower)
-    monkeypatch.setattr(genus, "_rows", {})
     code, out, err = run(capsys, "genus", "--g", str(g))
     assert _one_error_line(code, out, err), (code, out, err)
     assert "is not exactly" in err
@@ -262,6 +261,14 @@ def test_table_explicit_out(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["entries"] == 6
     assert dest.is_file()
+
+
+def test_rejected_table_creates_no_directory(tmp_path, capsys):
+    # The table is validated before its directory is made.
+    dest = tmp_path / "D" / "t.txt"
+    code, out, err = run(capsys, "table", "--gmax", "-1", "--nmax", "2", "--out", str(dest))
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert not dest.parent.exists()
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

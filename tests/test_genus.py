@@ -146,7 +146,6 @@ def test_series_rows_are_built_once(monkeypatch):
     # asked for: up to genus 9 the tower applies D_T^(2g1) once per
     # genus h = g1..9, and takes no derivative after that.
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
-    monkeypatch.setattr(genus, "_rows", {})
     monkeypatch.setattr(genus, "_series", {})
     calls = Counter()
     dt = genus.laurent_dt
@@ -176,6 +175,18 @@ def test_series_cells_match_rising_product_sum():
                 m = 5 * g - 5 - j
                 want += c * prod(range(m, m + 2 * n, 2))
             assert agn_from_series(g, n) == want, (g, n)
+
+
+def test_series_cells_read_only_the_profile(monkeypatch):
+    # Every n, n < 2 included, reads u^[g]'s numerators, not the C row.
+    want = {(g, n): agn_from_series(g, n) for g in range(2, 13) for n in range(4)}
+
+    def no_rows(g):
+        raise AssertionError(f"coeffs_C({g}) called")
+
+    monkeypatch.setattr(genus, "coeffs_C", no_rows)
+    monkeypatch.setattr(genus, "_series", {})
+    assert {cell: agn_from_series(*cell) for cell in want} == want
 
 
 def test_tower_rebuilds_after_truncation(monkeypatch):

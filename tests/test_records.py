@@ -101,7 +101,7 @@ def _records():
     poisoned = verify_functional_eqs(4, 1, overrides={(1, 1): Fraction(1, 11)})
     suite = run_suite("closed", 3)
     return [
-        GaussianRat(), GenusBlock(Fraction(0), LaurentT()), coeffs_C(2),
+        GaussianRat(), LaurentT({1: 2}), GenusBlock(Fraction(0), LaurentT()), coeffs_C(2),
         build_table(2, 3), volume(2, 3), fit, fit.coefficients[0], conjectured_m(2, 1),
         report, report.rows[0], poisoned, poisoned.failures[0], suite, suite.cases[0],
     ]
@@ -110,7 +110,7 @@ def _records():
 def test_every_record_rejects_assignment_and_deletion():
     records = _records()
     assert {type(r).__name__ for r in records} == {
-        "GaussianRat", "GenusBlock", "GenusCoeffs", "AgnTable", "PiScaled",
+        "GaussianRat", "LaurentT", "GenusBlock", "GenusCoeffs", "AgnTable", "PiScaled",
         "AsymFit", "BigFloat", "MPoly", "CompareReport", "CompareRow",
         "FunceqReport", "FunceqFailure", "VerifyResult", "VerifyCase",
     }
