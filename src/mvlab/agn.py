@@ -23,6 +23,7 @@ columns it cannot express: n = 0 for ``a_direct``, n < 2 for ``a_alt``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -40,6 +41,7 @@ __all__ = [
     "save_table",
     "load_table",
     "TableFormatError",
+    "table_files",
 ]
 
 HEADER = "# agn-table v1"
@@ -219,8 +221,12 @@ def build_table(gmax: int, nmax: int, method: str = "direct") -> AgnTable:
     return AgnTable(entries)
 
 
-class TableFormatError(Exception):
+class TableFormatError(ValueError):
     pass
+
+
+_FORM = "g<TAB>n<TAB>p/q (ASCII digits, no leading zero, a sign only on p, denominator q > 0)"
+_LINE = re.compile(r"(0|[1-9][0-9]*)\t(0|[1-9][0-9]*)\t(0|-?[1-9][0-9]*)/([1-9][0-9]*)", re.ASCII)
 
 
 def save_table(table: AgnTable, path: str | Path) -> None:
@@ -233,41 +239,31 @@ def save_table(table: AgnTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> AgnTable:
-    """Read a table written by save_table, validating as it goes.
-
-    Rejects a bad or missing header, malformed lines, fractions not in
-    lowest terms, and duplicate keys, naming the offending line.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != HEADER:
-        head = lines[0] if lines else "<empty file>"
-        raise TableFormatError(f"line 1: expected header {HEADER!r}, got {head!r}")
+    """Read a table written by save_table: the header, then lines that are
+    empty or exactly save_table's line for a cell (_FORM), p/q in lowest
+    terms and each (g, n) once. Anything else raises TableFormatError,
+    naming the file and the line."""
+    lines = Path(path).read_bytes().decode("ascii", "replace").split("\n")
+    if lines[0] != HEADER:
+        raise TableFormatError(f"{path}: line 1: expected header {HEADER!r}, got {lines[0]!r}")
     entries: dict[tuple[int, int], Fraction] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise TableFormatError(f"line {lineno}: expected 3 tab-separated fields")
-        try:
-            g, n = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise TableFormatError(f"line {lineno}: bad indices {parts[0]!r}, {parts[1]!r}")
-        frac = parts[2]
-        if "/" not in frac:
-            raise TableFormatError(f"line {lineno}: value {frac!r} is not of the form p/q")
-        num_s, den_s = frac.split("/", 1)
-        try:
-            num, den = int(num_s), int(den_s)
-        except ValueError:
-            raise TableFormatError(f"line {lineno}: value {frac!r} is not of the form p/q")
-        if den <= 0:
-            raise TableFormatError(f"line {lineno}: denominator must be positive")
+        if not (m := _LINE.fullmatch(line)):
+            raise TableFormatError(f"{path}: line {lineno}: {line!r} is not of the form {_FORM}")
+        g, n, num, den = map(int, m.groups())
         v = Fraction(num, den)
-        if (v.numerator, v.denominator) != (num, den):
-            raise TableFormatError(f"line {lineno}: fraction {frac!r} is not in lowest terms")
+        if v.denominator != den:
+            raise TableFormatError(f"{path}: line {lineno}: {num}/{den} is not in lowest terms")
         if (g, n) in entries:
-            raise TableFormatError(f"line {lineno}: duplicate key ({g},{n})")
+            raise TableFormatError(f"{path}: line {lineno}: duplicate key ({g},{n})")
         entries[(g, n)] = v
     return AgnTable(entries)
+
+
+def table_files(directory: str | Path) -> list[Path]:
+    """The ``*.txt`` files in a directory whose line 1 is load_table's header, sorted."""
+    header = HEADER.encode()
+    files = sorted(Path(directory).glob("*.txt"))
+    return [f for f in files if f.is_file() and f.read_bytes().partition(b"\n")[0] == header]

@@ -165,6 +165,9 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
     if K < 0:
         raise ValueError(f"fit order K must be nonnegative, got {K}")
     _check_precision(precision_bits)
+    samples = list(samples)
+    if any(g != int(g) for g, _ in samples):
+        raise ValueError("sample genera must be integers")
     pts = sorted(
         ((int(g), *_sample_value(v, precision_bits)) for g, v in samples),
         key=lambda t: t[0],

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .agn import METHODS, TableFormatError, build_table, load_table, route, save_table
+from .agn import METHODS, build_table, load_table, route, save_table, table_files
 from .asym import compare_report
 from .genus import SupportError, coeffs_C
 from .verify import SUITES, run_suite
@@ -149,7 +149,7 @@ def _cmd_asym(args) -> Output:
 
 def _cmd_cache(args) -> Output:
     cache = resolve_cache_dir(args.cache_dir)
-    files = sorted(cache.glob("*.txt")) if cache.is_dir() else []
+    files = table_files(cache)
     if args.clear:
         for f in files:
             f.unlink()
@@ -226,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(s, "plain")
     s.set_defaults(fn=_cmd_asym)
 
-    s = subs.add_parser("cache", help="inspect or clear the table cache")
-    s.add_argument("--clear", action="store_true")
+    s = subs.add_parser("cache", help="list the table files: *.txt that start with the header")
+    s.add_argument("--clear", action="store_true", help="remove the table files and no other")
     _add_format(s, "plain")
     s.add_argument("--cache-dir", default=None)
     s.set_defaults(fn=_cmd_cache)
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return render(args.fn(args), args.format)
-    except (ValueError, TableFormatError, SupportError, OSError) as exc:
+    except (ValueError, SupportError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,17 +1,22 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvlab
 
 from mvlab import agn, cli
 from mvlab.agn import (
+    AgnTable,
     TableFormatError,
     a_alt,
     a_direct,
@@ -135,7 +140,7 @@ def test_round_trip(tmp_path):
 
 def _load_lines(tmp_path, lines):
     p = tmp_path / "bad.txt"
-    p.write_text("\n".join(lines) + "\n")
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return load_table(p)
 
 
@@ -165,6 +170,67 @@ def test_load_rejects_duplicates(tmp_path):
         _load_lines(
             tmp_path, ["# agn-table v1", "0\t3\t1/1", "0\t3\t1/1"]
         )
+
+
+@pytest.mark.parametrize("line", [
+    "+1\t2\t1/8",
+    "1\t 2\t1/8",
+    "1\t2\t 1/8 ",
+    "1\t2\t\u0661/8",
+    "1\t2\t-0/1",
+    "-1\t2\t1/8",
+    "1\t2\t1_0/8_1",
+])
+def test_load_takes_only_the_line_save_table_writes(tmp_path, line):
+    # Each of these once loaded: int() takes signs, spaces, underscores
+    # and non-ASCII digits, and Fraction reduces -0/1.
+    where = re.escape(f"{tmp_path / 'bad.txt'}: line 3: ")
+    with pytest.raises(TableFormatError, match=where + ".*not of the form"):
+        _load_lines(tmp_path, ["# agn-table v1", "0\t3\t1/1", line])
+
+
+def test_load_errors_are_value_errors_naming_the_file(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"# agn-table v1\n0\t3\t1/1\xff\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line 2: ")):
+        load_table(p)
+    p.write_bytes(b"# agn-table v1\r\n0\t3\t1/1\r\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line 1: ")):
+        load_table(p)
+
+
+def test_golden_file_loads_back_to_its_bytes(tmp_path):
+    golden = Path(__file__).parent / "golden" / "agn_g15_n8.txt"
+    table = load_table(golden)
+    assert len(table) == 16 * 9
+    save_table(table, tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == golden.read_bytes()
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 300), st.integers(0, 300)), st.fractions(),
+                       max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_every_saved_table_loads_back(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        save_table(AgnTable(entries), path)
+        assert load_table(path).entries == entries
+
+
+def test_table_files_are_the_txt_files_that_start_with_the_header(tmp_path):
+    contents = {
+        "a.txt": "# agn-table v1\n0\t3\t1/1\n",
+        "b.txt": "# agn-table v1",
+        "notes.txt": "notes\n",
+        "crlf.txt": "# agn-table v1\r\n",
+        "v0.txt": "# agn-table v1x\n",
+        "t.dat": "# agn-table v1\n",
+    }
+    for name, text in contents.items():
+        (tmp_path / name).write_text(text, newline="")
+    (tmp_path / "d.txt").mkdir()
+    assert agn.table_files(tmp_path) == [tmp_path / "a.txt", tmp_path / "b.txt"]
+    assert agn.table_files(tmp_path / "none") == []
 
 
 def test_zero_entries_serialize_explicitly(tmp_path):

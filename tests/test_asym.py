@@ -223,6 +223,16 @@ def test_richardson_input_errors(monkeypatch):
         compare_report([0, -1], 20, 3, target="vol")
 
 
+def test_richardson_rejects_a_non_integral_genus():
+    # g = 20.5, ..., 29.5 once fitted at the truncated nodes 20, ..., 29.
+    halves = [Fraction(2 * k + 41, 2) for k in range(10)]
+    with pytest.raises(ValueError, match="integers"):
+        richardson_fit([(g, 1 + 1 / g) for g in halves], 2)
+    exact = [(g, 1 + Fraction(1, g)) for g in range(20, 30)]
+    as_fractions = [(Fraction(g), v) for g, v in exact]
+    assert richardson_fit(as_fractions, 2) == richardson_fit(exact, 2)
+
+
 def test_fits_read_only_their_windows():
     # The top K+1 samples and the shifted window: K+6 genera in all.
     # At 64 bits a least-squares solve over the top 2K is numerically

@@ -188,6 +188,18 @@ def test_asym_rejects_low_precision(capsys, monkeypatch, target, bits):
     assert "precision below 64 bits" in err
 
 
+_HUGE = "99999999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ("volume", "--g", "1", "--n", "1", "--numeric", _HUGE),
+    ("asym", "--gmax", "20", "--order", "2", "--bits", _HUGE),
+])
+def test_huge_precision_reports_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert _one_error_line(code, out, err), (code, out, err)
+
+
 def test_support_error_reports_one_line(capsys, monkeypatch):
     # Scale tu^[2] so that the interior coefficient of tu^[3] at T^-13
     # cancels; the pass that builds genus 3 then fails the exact-support check.
@@ -233,6 +245,26 @@ def test_table_and_cache_flow(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "cache", "--clear", "--format", "csv")
     assert (code, out) == (0, f"dir,removed\n{tmp_path / 'cache'},1\n")
     assert not written.exists()
+
+
+def test_cache_lists_and_clears_only_table_files(tmp_path, capsys):
+    save_table(build_table(1, 2, "direct"), tmp_path / "agn_g1_n2.txt")
+    others = {"notes.txt": "notes\n", "old.txt": "# agn-table v0\n", "t.dat": "# agn-table v1\n"}
+    for name, text in others.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, "cache", "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, f"{tmp_path}\nagn_g1_n2.txt\t6 entries\n", "")
+    code, out, err = run(capsys, "cache", "--clear", "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, f"removed 1 file(s) from {tmp_path}\n", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(others)
+
+
+def test_cache_names_the_table_it_cannot_load(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# agn-table v1\n1\t2\t1_0/8_1\n")
+    code, out, err = run(capsys, "cache", "--cache-dir", str(tmp_path))
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert f"{bad}: line 2: " in err
 
 
 @pytest.mark.parametrize("argv", [
