@@ -42,7 +42,7 @@ class PiScaled(Frozen):
 
         The numerator, its quotient by the denominator and pi^(e/2) are
         each rounded at `bits`, so the result can be several ulps from the
-        correctly rounded value (ROADMAP item 7). A negative exponent
+        correctly rounded value (ROADMAP item 11). A negative exponent
         divides by pi^(|e|/2): multiplying by the rounded pi^(e/2) instead
         can change the last bit. `MPoly.eval_mpf` and the fit's
         `from_rational` also make floats.

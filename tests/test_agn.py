@@ -1,9 +1,6 @@
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +8,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import mvlab
 
 from mvlab import agn, cli
 from mvlab.agn import (
@@ -27,6 +22,8 @@ from mvlab.agn import (
 from mvlab.exact import double_factorial, fraction_sum
 from mvlab.genus import _is_structural_zero, agn_from_series
 from mvlab.verify import GOLDEN_TABLE1, run_suite
+
+from test_cold import cold
 
 
 def test_published_values():
@@ -100,23 +97,6 @@ def test_routes_match_closed_forms_at_wide_n():
     for n in range(1, 61):
         want = Fraction(2 ** (n - 1) * math.factorial(n - 1) + double_factorial(2 * n - 3), 24)
         assert a_direct(1, n) == want and a_alt(1, n) == want, n
-
-
-def test_cold_process_routes_write_identical_tables(tmp_path):
-    # One fresh interpreter per route, so no memo is shared between them.
-    env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
-    blobs = {}
-    for method in ("direct", "alt", "series"):
-        out = tmp_path / f"{method}.txt"
-        proc = subprocess.run(
-            [sys.executable, "-m", "mvlab.cli", "table", "--gmax", "6", "--nmax", "30",
-             "--method", method, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0 and proc.stderr == "", (method, proc.stderr)
-        blobs[method] = out.read_bytes()
-    assert blobs["direct"].count(b"\n") == 1 + 7 * 31
-    assert blobs["direct"] == blobs["alt"] == blobs["series"]
 
 
 def test_build_table_rejects_unknown_method():
@@ -242,7 +222,7 @@ def test_zero_entries_serialize_explicitly(tmp_path):
     assert load_table(path).entries[(1, 0)] == Fraction(0)
 
 
-def test_cold_direct_fill_needs_no_recursion_depth():
+def test_cold_direct_fill_needs_no_recursion_depth(tmp_path):
     # A fresh interpreter with a tight recursion limit: a deep cold cell
     # must fill bottom-up instead of recursing once per n.
     code = (
@@ -251,12 +231,8 @@ def test_cold_direct_fill_needs_no_recursion_depth():
         "sys.setrecursionlimit(150)\n"
         "print(a_direct(0, 300) > 0)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"
+    proc = cold([], tmp_path, code)
+    assert (proc.returncode, proc.stdout) == (0, b"True\n"), proc.stderr
 
 
 def _direct_term_by_term(gmax, nmax):
@@ -414,17 +390,13 @@ _STORE_DUMP = (
 )
 
 
-def _fresh_store_dump(calls):
-    env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _STORE_DUMP, json.dumps(calls)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+def _fresh_store_dump(calls, tmp):
+    proc = cold([json.dumps(calls)], tmp, _STORE_DUMP)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_scrambled_calls_fill_the_same_cells_as_a_sweep():
+def test_scrambled_calls_fill_the_same_cells_as_a_sweep(tmp_path):
     # A fresh interpreter asks for cells out of order, so rows are
     # extended part-way by one call and finished by a later one. Every
     # row entry it stores must equal the one an in-order sweep (a second
@@ -433,23 +405,19 @@ def test_scrambled_calls_fill_the_same_cells_as_a_sweep():
     order = [(6, 1), (0, 50), (3, 20), (12, 0), (2, 2), (8, 30)]
     calls = [["direct", g, n] for g, n in order]
     calls += [["alt", g, n] for g, n in order if n >= 2]
-    scrambled = _fresh_store_dump(calls)
+    scrambled = _fresh_store_dump(calls, tmp_path)
     cells = sorted({(g, n, route) for route in ("direct", "alt") for g, n, _ in scrambled[route]})
-    swept = _fresh_store_dump([[route, g, n] for g, n, route in cells])
+    swept = _fresh_store_dump([[route, g, n] for g, n, route in cells], tmp_path)
     assert [len(scrambled[r]) for r in ("direct", "alt", "P")] == [369, 337, 337]
     assert scrambled == swept
 
 
-def test_cold_routes_agree_at_deep_n():
+def test_cold_routes_agree_at_deep_n(tmp_path):
     # n = 400 at genus 2: rows of 400+ entries, in a fresh interpreter.
     code = (
         "from mvlab.agn import a_alt, a_direct\n"
         "from mvlab.genus import agn_from_series\n"
         "print(a_direct(2, 400) == a_alt(2, 400) == agn_from_series(2, 400))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(mvlab.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\n"
+    proc = cold([], tmp_path, code)
+    assert (proc.returncode, proc.stdout) == (0, b"True\n"), proc.stderr

@@ -9,14 +9,10 @@ until a command makes a float.
 import contextlib
 import io
 import json
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import mvlab
 from mvlab import cli
 from mvlab.agn import build_table
 from mvlab.asym import CompareRow, compare_report, conjectured_m, estimate_m
@@ -25,6 +21,8 @@ from mvlab.funceq import verify_functional_eqs
 from mvlab.genus import coeffs_C
 from mvlab.verify import VerifyCase, run_suite
 from mvlab.volumes import PiScaled, volume
+
+from test_cold import cold
 
 _VOLUME_ARGV = ["volume", "--g", "3", "--n", "2", "--numeric", "64"]
 _VOLUME_OUT = ('{"approx":"89795.38209603461475","coeff":"77633/77837760",'
@@ -60,17 +58,16 @@ _VERIFY_OUT = {
            '"volume(1,2)",true,\n"volume(1,3)",true,\n',
 }
 
-# Run in a fresh isolated interpreter: import the command line, note
-# which of the heavy modules it loaded, then run two float commands.
+# Run in a fresh interpreter: import the command line, note which of
+# the heavy modules it loaded, then run two float commands.
 _GUARD = """
 import sys
-sys.path.insert(0, sys.argv[1])
 import mvlab.cli
 heavy = ("mpmath", "dataclasses", "inspect")
 after_import = [m for m in heavy if m in sys.modules]
 import contextlib, io, json
 runs = []
-for argv in json.loads(sys.argv[2]):
+for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = mvlab.cli.main(argv)
@@ -80,14 +77,10 @@ print(json.dumps({"after_import": after_import, "runs": runs,
 """
 
 
-def test_cli_import_loads_no_mpmath_dataclasses_or_inspect():
-    src = str(Path(mvlab.__file__).parents[1])
+def test_cli_import_loads_no_mpmath_dataclasses_or_inspect(tmp_path):
     argvs = [_VOLUME_ARGV, _ASYM_ARGV + ["--format", "csv"]]
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", _GUARD, src, json.dumps(argvs)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    proc = cold([json.dumps(argvs)], tmp_path, _GUARD)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
     got = json.loads(proc.stdout)
     assert got["after_import"] == []
     assert got["runs"] == [[0, _VOLUME_OUT], [1, _ASYM_OUT["csv"]]]
