@@ -21,7 +21,7 @@ from .agn import METHODS, build_table, load_table, route, save_table, table_file
 from .asym import compare_report
 from .genus import SupportError, coeffs_C
 from .verify import SUITES, run_suite
-from .volumes import PiScaled, sv_constant, volume
+from .volumes import PiScaled, _check_precision, sv_constant, volume
 
 __all__ = ["main", "resolve_cache_dir"]
 
@@ -102,6 +102,8 @@ def _cmd_table(args) -> Output:
 
 
 def _cmd_volume(args) -> Output:
+    if args.numeric is not None:
+        _check_precision(args.numeric)  # before the volume is computed
     return _pi_output(args.g, args.n, volume(args.g, args.n), args.numeric)
 
 

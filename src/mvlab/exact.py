@@ -30,6 +30,7 @@ __all__ = [
     "convolve_into",
     "GaussianRat",
     "LaurentT",
+    "fold",
     "weighted_sum",
     "laurent_dt",
     "GenusBlock",
@@ -281,7 +282,9 @@ class LaurentT(Frozen):
         object.__setattr__(self, "_den", den if nums else 1)
 
     @staticmethod
-    def _make(lo: int, nums: list[int], den: int) -> "LaurentT":
+    def from_dense(lo: int, nums: list[int], den: int) -> "LaurentT":
+        """sum(nums[i] * T^(lo+i)) / den, den > 0, in normal form: the
+        inverse of `dense`, for any ints."""
         res = LaurentT.__new__(LaurentT)
         res._set(lo, nums, den)
         return res
@@ -331,7 +334,7 @@ class LaurentT(Frozen):
         a, b = self._nums, other._nums
         acc = [0] * (len(a) + len(b) - 1) if a and b else []
         convolve_into(acc, a, b)
-        return LaurentT._make(self._lo + other._lo, acc, self._den * other._den)
+        return LaurentT.from_dense(self._lo + other._lo, acc, self._den * other._den)
 
     def scale(self, q: Fraction | int) -> "LaurentT":
         return weighted_sum(((Fraction(q), self),))
@@ -347,25 +350,62 @@ class LaurentT(Frozen):
         return "LaurentT(" + " + ".join(parts) + ")"
 
 
-def weighted_sum(terms: Iterable[tuple[Fraction | int, LaurentT]]) -> LaurentT:
-    """Exact sum of w * p over the pairs (w, p), w a Fraction or an int.
+def _place(lo: int, size: int, r_lo: int, width: int) -> int:
+    """Index of T^r_lo in a window of size exponents from T^lo, for a term
+    of width exponents that must lie inside it."""
+    i = r_lo - lo
+    if i < 0 or i + width > size:
+        raise ValueError(
+            f"term at T^{r_lo}..T^{r_lo + width - 1} outside T^{lo}..T^{lo + size - 1}"
+        )
+    return i
 
-    Each term's numerators are scaled to the lcm of the denominators
-    w.denominator * p's denominator and added as ints; the result is
-    reduced with one gcd.
+
+def fold(lo: int, size: int, squares, lines) -> tuple[list[int], int]:
+    """The one sum kernel: sum of w*a*b over squares (w, a, b) and of w*r
+    over lines (w, r), as int numerators acc[i] at T^(lo+i), i < size,
+    over one denominator, the lcm of the terms' denominators.
+
+    Rows a, b, r are (lo, nums, den) triples, as `LaurentT.dense` gives
+    them; w is a Fraction or an int. The squares are summed first, over
+    the lcm of their own denominators, each scaled once on its shorter
+    factor; that sum is scaled once to the common denominator, and each
+    line is scaled and added in. So the large primes of the lines'
+    weights never enter a convolution. A term reaching outside
+    T^lo..T^(lo+size-1) raises ValueError. Nothing is reduced:
+    `LaurentT.from_dense` normalizes the result once.
     """
-    live = [(w.numerator, w.denominator * p._den, p) for w, p in terms if w and p._nums]
+    sq_dens = [w.denominator * a[2] * b[2] for w, a, b in squares]
+    sq_den = lcm(*sq_dens)
+    den = lcm(sq_den, *(w.denominator * r[2] for w, r in lines))
+    acc = [0] * size
+    for (w, a, b), d in zip(squares, sq_dens):
+        if a[1] and b[1]:
+            i = _place(lo, size, a[0] + b[0], len(a[1]) + len(b[1]) - 1)
+            x, y = sorted((a[1], b[1]), key=len)
+            s = w.numerator * (sq_den // d)
+            convolve_into(acc, y, [0] * i + [s * c for c in x])
+    if squares and den != sq_den:
+        s = den // sq_den
+        acc = [s * c for c in acc]
+    for w, (r_lo, nums, r_den) in lines:
+        if nums:
+            i = _place(lo, size, r_lo, len(nums))
+            k = i + len(nums)
+            s = w.numerator * (den // (w.denominator * r_den))
+            acc[i:k] = [t + s * c for t, c in zip(acc[i:k], nums)]
+    return acc, den
+
+
+def weighted_sum(terms: Iterable[tuple[Fraction | int, LaurentT]]) -> LaurentT:
+    """Exact sum of w * p over the pairs (w, p), w a Fraction or an int:
+    one `fold` over the terms' joint span, reduced with one gcd."""
+    live = [(w, p.dense()) for w, p in terms if w and p._nums]
     if not live:
         return LaurentT()
-    den = lcm(*(d for _, d, _ in live))
-    lo = min(p._lo for _, _, p in live)
-    acc = [0] * (max(p._lo + len(p._nums) for _, _, p in live) - lo)
-    for n, d, p in live:
-        m = n * (den // d)
-        i = p._lo - lo
-        k = i + len(p._nums)
-        acc[i:k] = [s + m * c for s, c in zip(acc[i:k], p._nums)]
-    return LaurentT._make(lo, acc, den)
+    lo = min(r[0] for _, r in live)
+    size = max(r[0] + len(r[1]) for _, r in live) - lo
+    return LaurentT.from_dense(lo, *fold(lo, size, (), live))
 
 
 def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
@@ -389,7 +429,7 @@ def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
             f = prod(range(e, e - 2 * k, -2))
         falling.append(f)
     nums = [sign * f * c for f, c in zip(falling, p._nums)]
-    return LaurentT._make(p._lo - 2 * k, nums, p._den)
+    return LaurentT.from_dense(p._lo - 2 * k, nums, p._den)
 
 
 class GenusBlock(NamedTuple):

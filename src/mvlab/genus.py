@@ -22,7 +22,7 @@ from .exact import (
     LaurentT,
     bernoulli,
     double_factorial,
-    laurent_dt,
+    fold,
     weighted_sum,
 )
 
@@ -57,16 +57,51 @@ def _check_support(p: LaurentT, g: int, what: str, width: int) -> None:
         raise SupportError(f"{what}[{g}] support {sup} is not exactly [{lo},{hi}]")
 
 
-def _half_square(rows, g: int) -> list[tuple[Fraction | int, LaurentT]]:
-    """Terms of (1/2) * sum_{g1+g2=g, g1,g2>=1} rows[g1] * rows[g2].
-
-    Each unordered pair once, the middle square at weight 1/2, as
-    (weight, product) pairs for weighted_sum.
-    """
+def _pairs(rows, g: int) -> list:
+    """Squares of (1/2) * sum_{g1+g2=g, g1,g2>=1} rows[g1] * rows[g2]:
+    each unordered pair once, the middle one at weight 1/2."""
     return [
-        (Fraction(1, 2) if 2 * g1 == g else 1, rows[g1] * rows[g - g1])
+        (Fraction(1, 2) if 2 * g1 == g else 1, rows[g1], rows[g - g1])
         for g1 in range(1, g // 2 + 1)
     ]
+
+
+def _dt2(lo: int, nums: list[int]) -> tuple[int, list[int]]:
+    """D_T^2 on the numerators of sum nums[i] T^(lo+i): the coefficient
+    of T^e becomes e(e-2) times itself, at T^(e-4). Leading zeros, from
+    T^0 and T^2, are dropped."""
+    nums = [e * (e - 2) * c for e, c in enumerate(nums, lo)]
+    start = next((i for i, c in enumerate(nums) if c), len(nums))
+    return lo - 4 + start, nums[start:]
+
+
+def _derivatives(cache: list, profiles: list[LaurentT]) -> list:
+    """D_T^(2(g-h)) profiles[h] for h < g = len(profiles), as
+    (lo, nums, den) triples.
+
+    cache[h] is (profile, k, lo, nums): the numerators of D_T^(2k) of
+    that profile over its denominator, from T^lo up. Genus g advances
+    each entry by one `_dt2`, one small-int factor per coefficient. An
+    entry made from another profile object, or already past order
+    2(g-h), starts again from the profile, so a cut-back or edited
+    tower is followed.
+    """
+    g = len(profiles)
+    out = []
+    for h, p in enumerate(profiles):
+        if h == len(cache):
+            cache.append(None)
+        ent = cache[h]
+        if ent is None or ent[0] is not p or ent[1] > g - h:
+            lo, nums, _ = p.dense()
+            ent = (p, 0, lo, nums)
+        _, k, lo, nums = ent
+        while k < g - h:
+            lo, nums = _dt2(lo, nums)
+            k += 1
+        cache[h] = (p, k, lo, nums)
+        out.append((lo, nums, p.dense()[2]))
+    return out
 
 
 # Per genus g: tu^[g], u^[g], and the weights w_g = |B_2g| / (2g)! and
@@ -75,6 +110,8 @@ def _half_square(rows, g: int) -> list[tuple[Fraction | int, LaurentT]]:
 _tower: list[tuple[LaurentT, LaurentT, Fraction, Fraction]] = [
     (LaurentT({0: 1, 1: -1}),) * 2 + (Fraction(0),) * 2
 ]
+# The tu^[h] derivatives the tower reads, derived from _tower's entries.
+_tower_dts: list = []
 
 
 def tilde_u(g: int) -> LaurentT:
@@ -83,8 +120,10 @@ def tilde_u(g: int) -> LaurentT:
     Its support is exactly the g exponents -(5g-1)..-4g. The same pass
     forms u^[g]: its sum reads the same D_T^(2g1) tu^[g-g1], g1 = 1..g,
     at the weights (1 - 2^(1-2g1)) |B_2g1| / (2g1)!, so each derivative
-    is taken once. The weights of genus g are formed when genus g is
-    built and kept in its tower entry.
+    is taken once, by one D_T^2 step from the one genus g-1 read. Each
+    of tu^[g] and u^[g] is one `fold` over the lcm of its terms'
+    denominators, normalized once. The weights of genus g are formed
+    when genus g is built and kept in its tower entry.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
@@ -93,12 +132,17 @@ def tilde_u(g: int) -> LaurentT:
         w = abs(bernoulli(2 * gg)) / factorial(2 * gg)
         w_u = w * Fraction(4**gg - 2, 4**gg)
         tus = [t[0] for t in _tower]
-        dts = [laurent_dt(tus[gg - g1], 2 * g1) for g1 in range(1, gg + 1)]
-        ws = [t[2] for t in _tower[1:]] + [w]
-        u_ws = [t[3] for t in _tower[1:]] + [w_u]
-        tu = weighted_sum(_half_square(tus, gg) + list(zip(ws, dts))) * LaurentT.monomial(-1)
+        # D_T^(2g1) tu^[gg-g1] and its two weights, for g1 = gg..1.
+        dts = _derivatives(_tower_dts, tus)
+        ws = [w] + [t[2] for t in _tower[:0:-1]]
+        u_ws = [w_u] + [t[3] for t in _tower[:0:-1]]
+        rows = [p.dense() for p in tus]
+        lo = -(5 * gg - 2)  # tu^[gg] * T: T^lo..T^(lo+gg-1)
+        acc, den = fold(lo, gg, _pairs(rows, gg), list(zip(ws, dts)))
+        tu = LaurentT.from_dense(lo - 1, acc, den)
         _check_support(tu, gg, "tu", width=gg)
-        u = weighted_sum([(1, tu)] + list(zip(u_ws, dts)))
+        acc, den = fold(lo - 1, gg + 1, (), [(1, tu.dense())] + list(zip(u_ws, dts)))
+        u = LaurentT.from_dense(lo - 1, acc, den)
         _check_support(u, gg, "u", width=gg + 1)
         _tower.append((tu, u, w, w_u))
     return _tower[g][0]
@@ -113,6 +157,7 @@ def u_from_tilde(g: int) -> LaurentT:
 _u_direct: list[LaurentT] = [LaurentT({0: 1, 1: -1})]
 # W_s = sum over h + j = s of v(j) * D_T^(2j) u^[h], v(j) = (-1/4)^j/(2j+1)!.
 _u_direct_W: list[LaurentT] = [_u_direct[0]]
+_u_direct_dts: list = []
 
 
 def u_direct(g: int) -> LaurentT:
@@ -125,24 +170,29 @@ def u_direct(g: int) -> LaurentT:
     V_s = W_s for s < g and V_g = W_g - u^[g], where
     W_s = sum_{h+j=s} v(j) * D_T^(2j) u^[h] is kept once u^[s] is known:
     about g/2 + 1 products per genus. The linear sum reads the same D_T^(2j)
-    u^[g-j], at weight (-1/4)^j / (2j)!.
+    u^[g-j], at weight (-1/4)^j / (2j)!. The derivatives and sums run on
+    the same kernel as the tu tower.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     while len(_u_direct) <= g:
         gg = len(_u_direct)
-        dts = [(j, laurent_dt(_u_direct[gg - j], 2 * j)) for j in range(1, gg + 1)]
-        v_top = weighted_sum(
-            (Fraction((-1) ** j, 4**j * factorial(2 * j + 1)), d) for j, d in dts
-        )
+        # D_T^(2j) u^[gg-j] for j = gg..1.
+        dts = _derivatives(_u_direct_dts, _u_direct)
+        js = range(gg, 0, -1)
+        lo = -(5 * gg - 2)
+        v_top = LaurentT.from_dense(lo, *fold(lo, gg, (), [
+            (Fraction((-1) ** j, 4**j * factorial(2 * j + 1)), d) for j, d in zip(js, dts)
+        ])).dense()
         # (1/2) * quad: V_0 * V_gg, then the inner pairs of W.
-        terms = [(1, _u_direct_W[0] * v_top)] + _half_square(_u_direct_W, gg)
-        for j, d in dts:
-            terms.append((Fraction((-1) ** (j + 1), 4**j * factorial(2 * j)), d))
-        res = weighted_sum(terms) * LaurentT.monomial(-1)
+        ws = [p.dense() for p in _u_direct_W]
+        squares = [(1, ws[0], v_top)] + _pairs(ws, gg)
+        lines = [(Fraction((-1) ** (j + 1), 4**j * factorial(2 * j)), d) for j, d in zip(js, dts)]
+        res = LaurentT.from_dense(lo - 1, *fold(lo, gg + 1, squares, lines))
         _check_support(res, gg, "u", width=gg + 1)
         _u_direct.append(res)
-        _u_direct_W.append(v_top + res)
+        W = fold(lo - 1, gg + 1, (), [(1, v_top), (1, res.dense())])
+        _u_direct_W.append(LaurentT.from_dense(lo - 1, *W))
     return _u_direct[g]
 
 
@@ -161,6 +211,13 @@ def _numerators(g: int) -> tuple[tuple[int, ...], int]:
     return nums, den
 
 
+def _coeff_C(g: int, j: int) -> Fraction:
+    """C_{g,j} = U_j / ((5g-5-j)(5g-3-j) den), read off `_numerators(g)`."""
+    nums, den = _numerators(g)
+    m = 5 * g - 5 - j
+    return Fraction(nums[j], m * (m + 2) * den)
+
+
 def coeffs_C(g: int) -> GenusCoeffs:
     """C_{g,j} for j = 0..g, read off the u^[g] profile.
 
@@ -171,10 +228,7 @@ def coeffs_C(g: int) -> GenusCoeffs:
     """
     if g < 2:
         raise ValueError("coeffs_C needs g >= 2")
-    nums, den = _numerators(g)
-    return GenusCoeffs(tuple(
-        Fraction(U, (5 * g - 5 - j) * (5 * g - 3 - j) * den) for j, U in enumerate(nums)
-    ))
+    return GenusCoeffs(tuple(_coeff_C(g, j) for j in range(g + 1)))
 
 
 # Row c_{g,j} of kazarian_c as a polynomial in y, with c_{g,j} at y^j.
@@ -188,23 +242,31 @@ def kazarian_c(g: int) -> tuple[Fraction, ...]:
     The convolution (1/2) sum_{g1+g2=g} c_{g1,j1} c_{g2,j2} over
     j1 + j2 = j is a Cauchy square of the rows as polynomials in y.
     The linear-in-row factor is (g+1-j)/(5g-2-j) acting on c_{g,j-1}.
+    The square and the c_{g-1,j} term are one `fold` to ints b_j over
+    den. With Q_j = (5g-2)(5g-3)...(5g-2-j), X_j = den * Q_j * c_{g,j}
+    is an int: X_j = (g+1-j) X_{j-1} + Q_j b_j. The row is X_j Q_g/Q_j
+    over den * Q_g, normalized once.
     """
     if g < 1:
         raise ValueError("kazarian_c needs g >= 1")
     for gg in range(2, g + 1):
         if gg in _kaz_rows:
             continue
-        conv = weighted_sum(_half_square(_kaz_rows, gg))
-        prev = _kaz_rows[gg - 1]
-        row, c = {}, Fraction(0)
-        for j in range(gg + 1):
-            c = (
-                Fraction(gg + 1 - j, 5 * gg - 2 - j) * c
-                + Fraction((5 * gg - 6 - j) * (5 * gg - 4 - j), 12) * prev.coeff(j)
-                + conv.coeff(j)
-            )
-            row[j] = c
-        _kaz_rows[gg] = LaurentT(row)
+        lo, prev, d = _kaz_rows[gg - 1].dense()
+        prev = [(5 * gg - 6 - j) * (5 * gg - 4 - j) * c for j, c in enumerate(prev, lo)]
+        rows = {h: r.dense() for h, r in _kaz_rows.items()}
+        bs, den = fold(0, gg + 1, _pairs(rows, gg), [(Fraction(1, 12), (lo, prev, d))])
+        xs, x, q = [], 0, 1
+        for j, b in enumerate(bs):
+            q *= 5 * gg - 2 - j
+            x = (gg + 1 - j) * x + q * b
+            xs.append(x)
+        # X_j * Q_g / Q_j, from the top down.
+        nums, tail = [], 1
+        for j in range(gg, -1, -1):
+            nums.append(xs[j] * tail)
+            tail *= 5 * gg - 2 - j
+        _kaz_rows[gg] = LaurentT.from_dense(0, nums[::-1], den * q)
     return tuple(_kaz_rows[g].coeff(j) for j in range(g + 1))
 
 
@@ -301,7 +363,7 @@ def genus_ode_residual(g: int) -> LaurentT:
     blocks = [hg_block(h) for h in range(g + 1)]
     d2 = [b.ddx_n(2).laurent for b in blocks]
     # (1/4) * sum over g1 + g2 = g is half of H_0''*H_g'' plus the inner pairs.
-    quad = weighted_sum([(1, d2[0] * d2[g])] + _half_square(d2, g))
+    quad = weighted_sum([(1, d2[0] * d2[g])] + [(w, a * b) for w, a, b in _pairs(d2, g)])
     return weighted_sum([
         (1, d2[g].times_x()),
         (Fraction(4 * g - 3, 2), blocks[g].ddx_n(1).laurent),

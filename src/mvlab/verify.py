@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .agn import METHODS, build_table, route
 from .funceq import verify_functional_eqs
-from .genus import coeffs_C
+from .genus import _coeff_C
 from .volumes import (
     cg_seq,
     lambda_g_value,
@@ -133,7 +133,7 @@ def _suite_closed(gmax) -> list[VerifyCase]:
 def _suite_lambda(gmax) -> list[VerifyCase]:
     gmax = 20 if gmax is None else gmax
     return [
-        _case(f"top coeff g={g}", coeffs_C(g).C[g], lambda_g_value(g))
+        _case(f"top coeff g={g}", _coeff_C(g, g), lambda_g_value(g))
         for g in range(2, gmax + 1)
     ]
 
@@ -144,7 +144,7 @@ def _suite_iz(gmax) -> list[VerifyCase]:
     cases = []
     for g in range(2, gmax + 1):
         want = Fraction(1, 24**g) * cs[g] / ((5 * g - 3) * (5 * g - 5))
-        cases.append(_case(f"bottom coeff g={g}", coeffs_C(g).C[0], want))
+        cases.append(_case(f"bottom coeff g={g}", _coeff_C(g, 0), want))
     return cases
 
 

@@ -198,6 +198,7 @@ _HUGE = "99999999999999999999999"
 def test_huge_precision_reports_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert _one_error_line(code, out, err), (code, out, err)
+    assert "precision above 131072 bits" in err
 
 
 def test_support_error_reports_one_line(capsys, monkeypatch):

@@ -105,6 +105,14 @@ TABLE = [
     Cold("agn-g40-n1-direct-series",
          (_cli("agn --g 40 --n 1 --method direct"), _cli("agn --g 40 --n 1 --method series")), 0,
          "cd640f0a590649505c2014321882aac42da47455e7c27b49622952af159b6dd8"),
+    # The genus layer, cold: the C row to g = 60, an area constant and a
+    # series cell past the benchmark's genera.
+    Cold("genus-g60", (_cli("genus --g 60"),), 0,
+         "a85ff03dd0ba34c4fdb5a076431ead0118a79b046ebf6049f9dd58441a8d3fcb"),
+    Cold("sv-g30-n6", (_cli("sv --g 30 --n 6"),), 0,
+         "766aa89fa9631d9e86ebce66a6a940389c656bd85326b3edb5a779cb2a0dda09"),
+    Cold("agn-g36-n7-series", (_cli("agn --g 36 --n 7 --method series"),), 0,
+         "8da69b7365321450f64717f72a4ce0aef0aadc3bdc604e1811a56701a2548d65"),
     # Rejected inputs: exit 2, one stderr line, nothing written.
     Cold("table-rejected-writes-nothing",
          (_cli("table --gmax -1 --nmax 2 --out {tmp}/rejected/t.txt"),), 2, _sha(b""),
@@ -114,6 +122,8 @@ TABLE = [
          setup={"bad.txt": "# agn-table v1\n1\t2\t1_0/8_1\n"}),
     Cold("volume-huge-numeric", (_cli("volume --g 1 --n 1 --numeric 99999999999999999999999"),),
          2, _sha(b""), stderr="error: "),
+    Cold("volume-numeric-above-ceiling", (_cli("volume --g 1 --n 1 --numeric 100000000"),),
+         2, _sha(b""), stderr="error: precision above 131072 bits"),
     # `cache --clear` removes the table and keeps notes.txt: dir,removed / {tmp},1.
     Cold("cache-clear-only-tables", (_cli("cache --clear --cache-dir {tmp} --format csv"),), 0,
          "2a5a642d542907bb5d4a6384faf40ce1f2d281204a8fbf6d7032d4784ab8446d",

@@ -16,6 +16,7 @@ from mvlab.exact import (
     DenseRow,
     cauchy_coeff,
     convolve_into,
+    fold,
     fraction_sum,
     laurent_dt,
     pochhammer,
@@ -327,6 +328,31 @@ def test_laurent_mul_edge_cases():
     assert halves * thirds == _mul_reference(halves, thirds)
     # A shared denominator must not leak into the stored coefficients.
     assert (halves * thirds).coeff(1) == Fraction(1, 20)
+
+
+def _span(*ps):
+    # (lo, size) of the exponents the nonzero ps reach.
+    rows = [p.dense() for p in ps if not p.is_zero()]
+    if not rows:
+        return 0, 0
+    lo = min(r[0] for r in rows)
+    return lo, max(r[0] + len(r[1]) for r in rows) - lo
+
+
+@given(laurents(), laurents(), laurents(), rationals, rationals)
+@settings(max_examples=80)
+def test_fold_places_each_term_and_rejects_strays(p, q, r, v, w):
+    # A square or a line starting anywhere in the window lands at its own
+    # exponents; one reaching past either end of the window is an error.
+    want = (p * q).scale(v) + r.scale(w)
+    lo, size = _span(p * q, r)
+    squares, lines = [(v, p.dense(), q.dense())], [(w, r.dense())]
+    assert LaurentT.from_dense(lo, *fold(lo, size, squares, lines)) == want
+    assert LaurentT.from_dense(lo - 2, *fold(lo - 2, size + 5, squares, lines)) == want
+    if size:
+        for window in ((lo + 1, size), (lo, size - 1)):
+            with pytest.raises(ValueError, match="outside"):
+                fold(*window, squares, lines)
 
 
 @given(st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),

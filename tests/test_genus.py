@@ -6,7 +6,7 @@ import pytest
 
 from mvlab import genus
 from mvlab.agn import a_direct
-from mvlab.exact import GenusBlock, LaurentT, bernoulli, laurent_dt
+from mvlab.exact import GenusBlock, LaurentT, bernoulli, laurent_dt, weighted_sum
 from mvlab.genus import (
     agn_from_series,
     closed_H,
@@ -108,23 +108,101 @@ def test_dense_rows_match_term_by_term_recursion():
 
 
 def test_tower_takes_each_derivative_once(monkeypatch):
-    # One pass per genus feeds both the tu^[g] and the u^[g] sum, so
-    # genus g applies D_T^(2g1) to tu^[g-g1] once for each g1 = 1..g.
+    # One pass per genus feeds both the tu^[g] and the u^[g] sum, and
+    # advances the derivative of each lower profile by one D_T^2: to
+    # genus 12, tu^[h] takes 12 - h steps, 78 in all, and a second
+    # sweep takes none.
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
+    monkeypatch.setattr(genus, "_tower_dts", [])
     calls = []
-    dt = genus.laurent_dt
+    dt2 = genus._dt2
 
-    def counted(p, k=1):
-        calls.append(k)
-        return dt(p, k)
+    def counted(lo, nums):
+        calls.append(lo)
+        return dt2(lo, nums)
 
-    monkeypatch.setattr(genus, "laurent_dt", counted)
+    monkeypatch.setattr(genus, "_dt2", counted)
     for h in range(13):
         u_from_tilde(h)
     assert len(calls) == 12 * 13 // 2
+    assert [ent[1] for ent in genus._tower_dts] == [12 - h for h in range(12)]
     for h in range(13):
         tilde_u(h)
     assert len(calls) == 78
+
+
+# Reference recursions: the LaurentT tower the int kernel replaced, one
+# laurent_dt, product and normalized weighted_sum per term, and the
+# row recursion with its triangular step on Fractions.
+def _half_square(rows, g):
+    return [
+        (Fraction(1, 2) if 2 * g1 == g else 1, rows[g1] * rows[g - g1])
+        for g1 in range(1, g // 2 + 1)
+    ]
+
+
+def _reference_tower(gmax):
+    tus = us = [LaurentT({0: 1, 1: -1})]
+    ws, u_ws = [], []
+    for g in range(1, gmax + 1):
+        w = abs(bernoulli(2 * g)) / factorial(2 * g)
+        ws.append(w)
+        u_ws.append(w * Fraction(4**g - 2, 4**g))
+        dts = [laurent_dt(tus[g - g1], 2 * g1) for g1 in range(1, g + 1)]
+        tu = weighted_sum(_half_square(tus, g) + list(zip(ws, dts))) * LaurentT.monomial(-1)
+        tus = tus + [tu]
+        us = us + [weighted_sum([(1, tu)] + list(zip(u_ws, dts)))]
+    return tus, us
+
+
+def _reference_u_direct(gmax):
+    us, Ws = [LaurentT({0: 1, 1: -1})], [LaurentT({0: 1, 1: -1})]
+    for g in range(1, gmax + 1):
+        dts = [(j, laurent_dt(us[g - j], 2 * j)) for j in range(1, g + 1)]
+        v_top = weighted_sum(
+            (Fraction((-1) ** j, 4**j * factorial(2 * j + 1)), d) for j, d in dts
+        )
+        terms = [(1, Ws[0] * v_top)] + _half_square(Ws, g)
+        for j, d in dts:
+            terms.append((Fraction((-1) ** (j + 1), 4**j * factorial(2 * j)), d))
+        res = weighted_sum(terms) * LaurentT.monomial(-1)
+        us.append(res)
+        Ws.append(v_top + res)
+    return us
+
+
+def _reference_kazarian(gmax):
+    rows = {1: LaurentT({0: Fraction(1, 12), 1: Fraction(1, 24)})}
+    for g in range(2, gmax + 1):
+        conv = weighted_sum(_half_square(rows, g))
+        prev, row, c = rows[g - 1], {}, Fraction(0)
+        for j in range(g + 1):
+            c = (
+                Fraction(g + 1 - j, 5 * g - 2 - j) * c
+                + Fraction((5 * g - 6 - j) * (5 * g - 4 - j), 12) * prev.coeff(j)
+                + conv.coeff(j)
+            )
+            row[j] = c
+        rows[g] = LaurentT(row)
+    return rows
+
+
+def test_tower_kernel_matches_laurent_reference():
+    tus, us = _reference_tower(60)
+    for g in range(61):
+        assert tilde_u(g).dense() == tus[g].dense(), g
+        assert u_from_tilde(g).dense() == us[g].dense(), g
+
+
+def test_direct_kernel_matches_laurent_reference():
+    for g, u in enumerate(_reference_u_direct(60)):
+        assert u_direct(g).dense() == u.dense(), g
+
+
+def test_row_kernel_matches_fraction_reference():
+    for g, row in _reference_kazarian(60).items():
+        assert kazarian_c(g) == tuple(row.coeff(j) for j in range(g + 1)), g
+        assert genus._kaz_rows[g].dense() == row.dense(), g
 
 
 def test_series_closed_forms_low_genus():
@@ -143,25 +221,27 @@ def test_series_closed_forms_low_genus():
 def test_series_rows_are_built_once(monkeypatch):
     # Every series quantity of genus g reads the one tower entry of
     # genus g, so the profiles are built once however many cells are
-    # asked for: up to genus 9 the tower applies D_T^(2g1) once per
-    # genus h = g1..9, and takes no derivative after that.
+    # asked for: up to genus 9 the tower differentiates each tu^[h] once
+    # per genus h+1..9, and takes no derivative after that.
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
+    monkeypatch.setattr(genus, "_tower_dts", [])
     monkeypatch.setattr(genus, "_series", {})
-    calls = Counter()
-    dt = genus.laurent_dt
+    calls = []
+    dt2 = genus._dt2
 
-    def counted(p, k=1):
-        calls[k] += 1
-        return dt(p, k)
+    def counted(lo, nums):
+        calls.append(lo)
+        return dt2(lo, nums)
 
-    monkeypatch.setattr(genus, "laurent_dt", counted)
+    monkeypatch.setattr(genus, "_dt2", counted)
     for g in (2, 5, 9):
         for n in range(31):
             agn_from_series(g, n)
         coeffs_C(g)
         hg_block(g)
     assert len(genus._tower) == 10
-    assert calls == {2 * g1: 10 - g1 for g1 in range(1, 10)}
+    assert len(calls) == 9 * 10 // 2
+    assert [ent[1] for ent in genus._tower_dts] == [9 - h for h in range(9)]
 
 
 def test_series_cells_match_rising_product_sum():
