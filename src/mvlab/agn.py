@@ -3,17 +3,19 @@
 Both recursions determine the same numbers. The first steps down in n
 through a binomially weighted quadratic term, the second is an
 alternating-sign convolution. They share no recursion step, only the
-exact sum kernels, which is the point: exact agreement between them
-(and the series reconstruction in :mod:`mvlab.genus`) is the package's
-main internal evidence.
+row store and its dot product, which is the point: exact agreement
+between them (and the series reconstruction in :mod:`mvlab.genus`) is
+the package's main internal evidence.
 
 Both quadratic terms are Cauchy coefficients of exponential rows, one
 row per genus: the binomial weight comb(n-1, n1-2) is (n-1)!/(k1! k2!),
 and the convolution kernel P_{g,nu} carries its 1/nu!. Each row is a
-``DenseRow`` (int numerators over one denominator) that grows as its
-genus's cells are filled, so a cell's quadratic sum is one integer dot
-product per unordered genus pair. The rows are the only store of the
-cells, which are read back from them as int pairs.
+row of an ``exact.RowStore`` (int numerators over the row's own
+denominator, with a cofactor to the store's shared one) that grows as
+its genus's cells are filled, so a cell's quadratic sum is one integer
+dot product per unordered genus pair, and each entry is one int sum
+over a known denominator, reduced with one gcd. The rows are the only
+store of the cells, which are read back from them as int pairs.
 
 Domain rule: every method answers every (g, n). A pair with no stratum
 is 0, and each recursion returns the series reconstruction on the
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .exact import DenseRow, Frozen, cauchy_coeff, fraction_sum
+from .exact import Frozen, RowStore, unlimited_digits
 from .genus import _is_structural_zero, agn_from_series
 
 __all__ = [
@@ -47,53 +49,47 @@ __all__ = [
 HEADER = "# agn-table v1"
 
 
-def _grow(rows: list[DenseRow], g: int, n: int, step: int, entry) -> None:
+def _grow(rows: RowStore, g: int, n: int, step: int, entry) -> None:
     """Fill what the cell (g, n) reads: the (g', n') with g' <= g and
-    n' <= n + step*(g - g'). Row g' takes entry k from entry(g', k)."""
+    n' <= n + step*(g - g'). Row g' takes entry k from entry(g', k), an
+    int pair (numerator, denominator)."""
     while len(rows) <= g:
-        rows.append(DenseRow())
+        rows.add_row()
     for gg in range(g + 1):
-        row = rows[gg]
+        row = rows.nums[gg]
         while len(row) < n + step * (g - gg) - 1:
-            row.append(entry(gg, len(row)))
-
-
-def _quad_terms(rows: list[DenseRow], g: int, k: int, scale: int, denom: int):
-    """(scale/(2*denom)) * sum_{g1+g2=g} [t^k] rows[g1]*rows[g2], as int pairs.
-
-    Each unordered pair g1 <= g2 once, at weight 2 off the middle.
-    """
-    terms = []
-    for g1 in range(g // 2 + 1):
-        num, den = cauchy_coeff(rows[g1], rows[g - g1], k)
-        terms.append(((1 if 2 * g1 == g else 2) * scale * num, 2 * denom * den))
-    return terms
+            rows.append(gg, *entry(gg, len(row)))
 
 
 # Row g holds b_{g,k} = a_{g,k+2}/k! for k = 0, 1, ..., except that the
 # entry of a_{0,3} is 0: the recursion leaves out every product with it.
-_direct_rows: list[DenseRow] = []
+_direct_rows = RowStore()
 
 
-def _direct_cell(g: int, n: int) -> Fraction:
-    # (quad/2 + top/12) / (4g-4+n). quad/2 is (n-1)!/2 times the Cauchy
-    # coefficient at n-1 of the rows of g1 and g - g1. The entries n' >= n
-    # of row g, not filled yet, would pair only with the zeros b_{0,0}
-    # and b_{0,1}. The top term is a_{g-1,n+3} = b_{g-1,n+1} (n+1)!.
-    denom = 4 * g - 4 + n
-    terms = _quad_terms(_direct_rows, g, n - 1, factorial(n - 1), denom)
+def _direct_sum(g: int, k: int, c_quad: int, c_top: int) -> tuple[int, int]:
+    """(c_quad Q_g[k+1] + c_top b_{g-1,k+3}) / (12 (4g-2+k)) as an int
+    pair, Q_g[m] being sum_{g1+g2=g} [t^m] row g1 * row g2.
+
+    With n = k + 2, (4g-4+n) a_{g,n} = (n-1)!/2 Q_g[n-1] + a_{g-1,n+3}/12,
+    and a_{g-1,n+3} = (n+1)! b_{g-1,n+1}. Divided by k! the factorials
+    cancel: c_quad = 6(k+1) and c_top = (k+1)(k+2)(k+3) give b_{g,k};
+    the n = 1 cell a_{g,1} below the rows is c_quad = 6, c_top = 2. The
+    entries of row g not filled yet would pair only with the zeros
+    b_{0,0} and b_{0,1}.
+    """
+    rows = _direct_rows
+    num = c_quad * rows.square(g, k + 1)
     if g:
-        row = _direct_rows[g - 1]
-        terms.append((row.nums[n + 1] * factorial(n + 1), 12 * denom * row.den))
-    return fraction_sum(terms)
+        num += c_top * rows.den * rows.cof[g - 1] * rows.nums[g - 1][k + 3]
+    return num, 12 * (4 * g - 2 + k) * rows.den**2
 
 
-def _direct_entry(g: int, k: int) -> Fraction:
+def _direct_entry(g: int, k: int) -> tuple[int, int]:
     if g == 0 and k < 3:
         # a_{0,2} = 0, a_{0,3} enters no product, and a_{0,4} = 1 is the
         # boundary value: the recursion would divide by 4g-4+n = 0.
-        return Fraction(1, 2) if k == 2 else Fraction(0)
-    return _direct_cell(g, k + 2) / factorial(k)
+        return (1, 2) if k == 2 else (0, 1)
+    return _direct_sum(g, k, 6 * (k + 1), (k + 1) * (k + 2) * (k + 3))
 
 
 def a_direct(g: int, n: int) -> Fraction:
@@ -110,54 +106,59 @@ def a_direct(g: int, n: int) -> Fraction:
         return Fraction(1)
     _grow(_direct_rows, g, n, 3, _direct_entry)
     if n == 1:  # below the rows
-        return _direct_cell(g, 1)
-    row = _direct_rows[g]
-    return Fraction(row.nums[n - 2] * factorial(n - 2), row.den)
+        return Fraction(*_direct_sum(g, -1, 6, 2))
+    return Fraction(_direct_rows.nums[g][n - 2] * factorial(n - 2), _direct_rows.dens[g])
 
 
 # Row g holds the convolution kernel P_{g,nu} for nu = 0, 1, ..., and
-# cell row g holds a_{g,k+2} at k = 0, 1, ..., with 0 at a_{0,2}.
-_alt_rows: list[DenseRow] = []
-_alt_cells: list[DenseRow] = []
+# cell row g holds a_{g,k+2} at k = 0, 1, ..., with 0 at a_{0,2}. Entry g
+# of the weights holds genus g's two int lists, _alt_weight_lists(g).
+_alt_rows = RowStore()
+_alt_cells = RowStore()
+_alt_weights: list[tuple[list[int], list[int]]] = []
 
 
-def _alt_P_at(gam: int, nu: int) -> Fraction:
-    """Convolution kernel P_{gam,nu} = (1/nu!) sum_j w_j a_{gam-j, nu+2j+2}.
-
-    The weights are w_j = (-1)^j / (4^j (2j+1)!).
-    """
-    nu_fact = factorial(nu)
-    terms = []
-    for j in range(gam + 1):
-        row = _alt_cells[gam - j]
-        terms.append((
-            (-1) ** j * row.nums[nu + 2 * j],
-            nu_fact * 4**j * factorial(2 * j + 1) * row.den,
-        ))
-    return fraction_sum(terms)
+def _alt_weight_lists(g: int) -> tuple[list[int], list[int]]:
+    """The weights w_j = (-1)^j / (4^j (2j+1)!) and v_j = (-1)^j / (4^j (2j)!),
+    j <= g, as int numerators over 4^g (2g+1)! and 4^g (2g)!: entry 0 of
+    each list is its denominator."""
+    w = [(-1) ** j * 4 ** (g - j) * (factorial(2 * g + 1) // factorial(2 * j + 1))
+         for j in range(g + 1)]
+    v = [(-1) ** j * 4 ** (g - j) * (factorial(2 * g) // factorial(2 * j))
+         for j in range(g + 1)]
+    return w, v
 
 
-def _alt_cell(g: int, n: int) -> Fraction:
-    # (q!/2) * conv(P, P) - sum_j v_j a_{g-j, q+2j+2}, plus 1 at (0, 3),
-    # with v_j = (-1)^j / (4^j (2j)!). conv is the Cauchy coefficient at q
-    # of the rows of g1 and g - g1. The row of g holds only nu < q here;
-    # P_{g,q} reads the cell being computed, and its partner is
-    # P_{0,0} = a_{0,2} = 0. At (0, 2) every term is 0.
+def _alt_P_at(gam: int, nu: int) -> tuple[int, int]:
+    """Convolution kernel P_{gam,nu} = (1/nu!) sum_j w_j a_{gam-j, nu+2j+2}."""
+    cells, w = _alt_cells, _alt_weights[gam][0]
+    nums, cof = cells.nums, cells.cof
+    num = sum(w[j] * cof[gam - j] * nums[gam - j][nu + 2 * j] for j in range(gam + 1))
+    return num, factorial(nu) * w[0] * cells.den
+
+
+def _alt_cell(g: int, n: int) -> tuple[int, int]:
+    # (q!/2) * conv(P, P) - sum_{j>=1} v_j a_{g-j, q+2j+2}, plus 1 at
+    # (0, 3). conv is Q_g[q], summed over g1 + g2 = g. The row of g holds
+    # only nu < q here; P_{g,q} reads the cell being computed, and its
+    # partner is P_{0,0} = a_{0,2} = 0. At (0, 2) every term is 0.
     q = n - 2
-    terms = _quad_terms(_alt_rows, g, q, factorial(q), 1)
-    for j in range(1, g + 1):
-        row = _alt_cells[g - j]
-        terms.append(((-1) ** (j + 1) * row.nums[q + 2 * j], 4**j * factorial(2 * j) * row.den))
+    P, cells, v = _alt_rows, _alt_cells, _alt_weights[g][1]
+    nums, cof = cells.nums, cells.cof
+    tail = sum(v[j] * cof[g - j] * nums[g - j][q + 2 * j] for j in range(1, g + 1))
+    quad_den, tail_den = 2 * P.den**2, v[0] * cells.den
+    num = factorial(q) * P.square(g, q) * tail_den - tail * quad_den
     if q == 1 and g == 0:
-        terms.append((1, 1))
-    return fraction_sum(terms)
+        num += quad_den * tail_den
+    return num, quad_den * tail_den
 
 
-def _alt_entry(g: int, k: int) -> Fraction:
+def _alt_entry(g: int, k: int) -> tuple[int, int]:
     # P_{g,k} reads a_{g,k+2}, so the cell is stored first.
     if g == len(_alt_cells):
-        _alt_cells.append(DenseRow())
-    _alt_cells[g].append(_alt_cell(g, k + 2))
+        _alt_cells.add_row()
+        _alt_weights.append(_alt_weight_lists(g))
+    _alt_cells.append(g, *_alt_cell(g, k + 2))
     return _alt_P_at(g, k)
 
 
@@ -172,8 +173,7 @@ def a_alt(g: int, n: int) -> Fraction:
     if _is_structural_zero(g, n):
         return Fraction(0)
     _grow(_alt_rows, g, n, 2, _alt_entry)
-    row = _alt_cells[g]
-    return Fraction(row.nums[n - 2], row.den)
+    return Fraction(_alt_cells.nums[g][n - 2], _alt_cells.dens[g])
 
 
 class AgnTable(Frozen):
@@ -232,9 +232,10 @@ _LINE = re.compile(r"(0|[1-9][0-9]*)\t(0|[1-9][0-9]*)\t(0|-?[1-9][0-9]*)/([1-9][
 def save_table(table: AgnTable, path: str | Path) -> None:
     """Write the table as sorted text: one `g<TAB>n<TAB>p/q` line per cell."""
     lines = [HEADER]
-    for (g, n) in sorted(table.entries):
-        v = table.entries[(g, n)]
-        lines.append(f"{g}\t{n}\t{v.numerator}/{v.denominator}")
+    with unlimited_digits():
+        for (g, n) in sorted(table.entries):
+            v = table.entries[(g, n)]
+            lines.append(f"{g}\t{n}\t{v.numerator}/{v.denominator}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -247,18 +248,19 @@ def load_table(path: str | Path) -> AgnTable:
     if lines[0] != HEADER:
         raise TableFormatError(f"{path}: line 1: expected header {HEADER!r}, got {lines[0]!r}")
     entries: dict[tuple[int, int], Fraction] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        if not (m := _LINE.fullmatch(line)):
-            raise TableFormatError(f"{path}: line {lineno}: {line!r} is not of the form {_FORM}")
-        g, n, num, den = map(int, m.groups())
-        v = Fraction(num, den)
-        if v.denominator != den:
-            raise TableFormatError(f"{path}: line {lineno}: {num}/{den} is not in lowest terms")
-        if (g, n) in entries:
-            raise TableFormatError(f"{path}: line {lineno}: duplicate key ({g},{n})")
-        entries[(g, n)] = v
+    with unlimited_digits():
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            if not (m := _LINE.fullmatch(line)):
+                raise TableFormatError(f"{path}: line {lineno}: {line!r} is not of the form {_FORM}")
+            g, n, num, den = map(int, m.groups())
+            v = Fraction(num, den)
+            if v.denominator != den:
+                raise TableFormatError(f"{path}: line {lineno}: {num}/{den} is not in lowest terms")
+            if (g, n) in entries:
+                raise TableFormatError(f"{path}: line {lineno}: duplicate key ({g},{n})")
+            entries[(g, n)] = v
     return AgnTable(entries)
 
 

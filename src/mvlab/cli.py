@@ -14,11 +14,13 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
 from .agn import METHODS, build_table, load_table, route, save_table, table_files
 from .asym import compare_report
+from .exact import unlimited_digits
 from .genus import SupportError, coeffs_C
 from .verify import SUITES, run_suite
 from .volumes import PiScaled, _check_precision, sv_constant, volume
@@ -175,7 +177,11 @@ def _add_format(sub, default: str) -> None:
     sub.add_argument("--format", choices=("plain", "json", "csv"), default=default)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by the
+    later ones in the process. Its defaults are immutable, so a parse
+    leaves nothing behind for the next."""
     p = argparse.ArgumentParser(
         prog="mvlab",
         description="Exact tables, volumes, area constants, and their asymptotics.",
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("asym", help="fit expansions and compare to predictions")
     s.add_argument("--target", choices=("vol", "sv", "both"), default="both")
-    s.add_argument("--n", type=int, nargs="+", default=[0])
+    s.add_argument("--n", type=int, nargs="+", default=(0,))
     s.add_argument("--gmax", type=int, default=60)
     s.add_argument("--order", type=int, default=5, metavar="K")
     s.add_argument("--bits", type=int, default=320)
@@ -240,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return render(args.fn(args), args.format)
+        with unlimited_digits():  # exact values print at any width
+            return render(args.fn(args), args.format)
     except (ValueError, SupportError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

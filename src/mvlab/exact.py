@@ -3,8 +3,8 @@
 Rationals are ``fractions.Fraction`` throughout (lowest terms, exact).
 This module adds the pieces the rest of the package leans on: Bernoulli
 numbers, double factorials, the Pochhammer symbol, Gaussian rationals,
-growing rows of rationals over one denominator with their Cauchy
-coefficient, the integer convolution, Laurent polynomials in T (int
+growing rows of rationals with per-row and shared denominators and
+their Cauchy coefficients, the integer convolution, Laurent polynomials in T (int
 numerators over one denominator) with their weighted-sum kernel and the
 derivation D_T = d/dx acting as D_T(T^e) = -e*T^(e-2), genus blocks
 that pair a Laurent part with a log(1/T) coefficient, and ``Frozen``,
@@ -13,19 +13,20 @@ the base of the immutable records that must not be tuples.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "bernoulli",
     "double_factorial",
     "pochhammer",
-    "fraction_sum",
     "Frozen",
-    "DenseRow",
+    "RowStore",
     "cauchy_coeff",
     "convolve_into",
     "GaussianRat",
@@ -34,6 +35,7 @@ __all__ = [
     "weighted_sum",
     "laurent_dt",
     "GenusBlock",
+    "unlimited_digits",
 ]
 
 _bernoulli_cache: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
@@ -95,64 +97,98 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     return out
 
 
-def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of num/den over the integer pairs (num, den), den > 0.
+@contextmanager
+def unlimited_digits() -> Iterator[None]:
+    """Lift CPython's limit on the digits of an int <-> decimal string
+    conversion for the block, and put the old limit back after it.
 
-    The numerators are summed as ints over one running common
-    denominator: no Fraction per term, and a gcd only when a term's
-    denominator does not divide the running one. One Fraction is built
-    at the end.
+    The exact values mvlab prints, saves and loads are of any width.
+    Before CPython 3.10.7 there is no limit and nothing to lift.
     """
-    num, den = 0, 1
-    for n, d in terms:
-        q, r = divmod(den, d)
-        if r:
-            g = gcd(den, d)
-            num = num * (d // g) + n * (den // g)
-            den = den // g * d
-        else:
-            num += n * q
-    return Fraction(num, den)
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
-class DenseRow:
-    """A growing row of rationals: int numerators over one shared denominator.
+class RowStore:
+    """Growing rows of rationals, one per genus, as ints.
 
-    Entry k is nums[k] / den. Appending a reduced Fraction rescales the
-    row only when the entry's denominator does not divide den, so den
-    is the lcm of the appended denominators.
+    Row g holds int numerators nums[g] over its own denominator dens[g],
+    the lcm of its entries' denominators, so entry k is
+    nums[g][k] / dens[g]. The store also keeps den, the lcm of all the
+    dens[g], and each row's cofactor cof[g] = den // dens[g]: entry k of
+    row g is cof[g] * nums[g][k] / den over the one shared denominator.
+    A row is rescaled only when an entry's denominator does not divide
+    its own, and the cofactors only when den grows.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "dens", "cof", "den")
 
     def __init__(self) -> None:
-        self.nums: list[int] = []
+        self.nums: list[list[int]] = []
+        self.dens: list[int] = []
+        self.cof: list[int] = []
         self.den = 1
 
     def __len__(self) -> int:
         return len(self.nums)
 
-    def append(self, v: Fraction) -> None:
-        q, r = divmod(self.den, v.denominator)
+    def add_row(self) -> None:
+        self.nums.append([])
+        self.dens.append(1)
+        self.cof.append(self.den)
+
+    def append(self, g: int, num: int, den: int) -> None:
+        """Append num/den, den > 0, to row g, reduced with one gcd."""
+        d = gcd(num, den)
+        if d > 1:
+            num //= d
+            den //= d
+        row, row_den = self.nums[g], self.dens[g]
+        q, r = divmod(row_den, den)
         if r:
-            den = lcm(self.den, v.denominator)
-            s = den // self.den
-            self.nums = [c * s for c in self.nums]
-            self.den = den
-            q = den // v.denominator
-        self.nums.append(v.numerator * q)
+            new = lcm(row_den, den)
+            s = new // row_den
+            row[:] = [c * s for c in row]
+            self.dens[g] = new
+            q = new // den
+            if self.den % new:
+                t = lcm(self.den, new) // self.den
+                self.cof = [c * t for c in self.cof]
+                self.den *= t
+            self.cof[g] = self.den // new
+        row.append(num * q)
+
+    def square(self, g: int, k: int) -> int:
+        """The coefficient of t^k in sum_{g1+g2=g} row g1 * row g2, as its
+        numerator over den**2.
+
+        One dot product per unordered pair g1 <= g2 of the rows' own
+        numerators, scaled once by the two cofactors, at weight 2 off the
+        middle. Entries past a row's end count as zero.
+        """
+        nums, cof = self.nums, self.cof
+        total = 0
+        for g1 in range(g // 2 + 1):
+            w = 1 if 2 * g1 == g else 2
+            total += w * cof[g1] * cof[g - g1] * cauchy_coeff(nums[g1], nums[g - g1], k)
+        return total
 
 
-def cauchy_coeff(x: DenseRow, y: DenseRow, k: int) -> tuple[int, int]:
-    """Coefficient of t^k in (sum x_i t^i) * (sum y_j t^j), k >= 0.
-
-    Entries past either row's end count as zero. Returned as the integer
-    pair (numerator, x.den * y.den): one dot product of int slices.
-    """
+def cauchy_coeff(x: Sequence[int], y: Sequence[int], k: int) -> int:
+    """Coefficient of t^k in (sum x_i t^i) * (sum y_j t^j), k >= 0, for
+    int lists x and y: one dot product of int slices. Entries past
+    either list's end count as zero."""
     lo = max(0, k - len(y) + 1)
     hi = min(k, len(x) - 1)
-    num = sum(map(mul, x.nums[lo:hi + 1], reversed(y.nums[k - hi:k - lo + 1])))
-    return num, x.den * y.den
+    return sum(map(mul, x[lo:hi + 1], reversed(y[k - hi:k - lo + 1])))
 
 
 def convolve_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:

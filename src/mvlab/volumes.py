@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import factorial
 from operator import mul
 
-from .agn import _grow, _quad_terms, a_direct
-from .exact import DenseRow, Frozen, bernoulli, double_factorial, fraction_sum
+from .agn import _grow, a_direct
+from .exact import Frozen, RowStore, bernoulli, double_factorial
 from .genus import _is_structural_zero, agn_from_series
 
 __all__ = [
@@ -175,11 +175,12 @@ def kappa(g: int) -> PiScaled:
 
 # Row g holds B_g[k] = a_{g,k+1}/k! for k = 0, 1, ..., except that the
 # entry of a_{0,3} is 0: the area bracket leaves out every product with it.
-_sv_rows: list[DenseRow] = []
+_sv_rows = RowStore()
 
 
-def _sv_entry(g: int, k: int) -> Fraction:
-    return Fraction(0) if (g, k) == (0, 2) else agn_from_series(g, k + 1) / factorial(k)
+def _sv_entry(g: int, k: int) -> tuple[int, int]:
+    v = Fraction(0) if (g, k) == (0, 2) else agn_from_series(g, k + 1) / factorial(k)
+    return v.numerator, v.denominator
 
 
 def sv_constant(g: int, n: int) -> PiScaled:
@@ -197,7 +198,7 @@ def sv_constant(g: int, n: int) -> PiScaled:
     # g1 + g2 = g, n1 + n2 = n + 2 of comb(n, n1 - 1) a_{g1,n1} a_{g2,n2}.
     # With k_i = n_i - 1, comb(n, k1) = n!/(k1! k2!), so that sum is n!
     # times sum_{g1+g2=g} [t^n] B_g1 * B_g2: one integer dot product of
-    # two kept rows per unordered genus pair, as int pairs.
+    # two kept rows per unordered genus pair, over the store's den**2.
     edge = agn_from_series(g - 1, n + 2)
     if n >= 2:
         edge += n * (n - 1) * agn_from_series(g, n - 1)
@@ -205,6 +206,9 @@ def sv_constant(g: int, n: int) -> PiScaled:
     # with B_0[n-k], which is 0 for n-k < 3.
     _grow(_sv_rows, g - 1, n + 2, 0, _sv_entry)
     _grow(_sv_rows, g, n - 1, 0, _sv_entry)
-    terms = _quad_terms(_sv_rows, g, n, 2 * factorial(n), 1)
-    bracket = fraction_sum(terms + [(edge.numerator, edge.denominator)])
+    quad_den = _sv_rows.den**2
+    bracket = Fraction(
+        factorial(n) * _sv_rows.square(g, n) * edge.denominator + edge.numerator * quad_den,
+        quad_den * edge.denominator,
+    )
     return PiScaled(bracket / (4 * a), -4)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from mvlab.agn import (
     load_table,
     save_table,
 )
-from mvlab.exact import double_factorial, fraction_sum
+from mvlab.exact import RowStore, double_factorial, unlimited_digits
 from mvlab.genus import _is_structural_zero, agn_from_series
 from mvlab.verify import GOLDEN_TABLE1, run_suite
 
@@ -235,6 +236,11 @@ def test_cold_direct_fill_needs_no_recursion_depth(tmp_path):
     assert (proc.returncode, proc.stdout) == (0, b"True\n"), proc.stderr
 
 
+def _fraction_sum(terms):
+    # The references add one Fraction per (numerator, denominator) term.
+    return sum((Fraction(num, den) for num, den in terms), Fraction(0))
+
+
 def _direct_term_by_term(gmax, nmax):
     # The binomial recursion one (g1, n1) term at a time, with its own
     # store: (4g-4+n) a(g,n) = quad/2 + a(g-1, n+3)/12, where quad sums
@@ -261,7 +267,7 @@ def _direct_term_by_term(gmax, nmax):
         if g:
             top = a[(g - 1, n + 3)]
             terms.append((top.numerator, 12 * denom * top.denominator))
-        return fraction_sum(terms)
+        return _fraction_sum(terms)
 
     for g in range(gmax + 1):
         for n in range(1, nmax + 3 * (gmax - g) + 1):
@@ -288,7 +294,7 @@ def _alt_term_by_term(gmax, nmax):
                     (-1) ** j * v.numerator,
                     math.factorial(nu) * 4**j * math.factorial(2 * j + 1) * v.denominator,
                 ))
-            P[(gam, nu)] = fraction_sum(terms)
+            P[(gam, nu)] = _fraction_sum(terms)
         return P[(gam, nu)]
 
     def cell(g, n):
@@ -310,7 +316,7 @@ def _alt_term_by_term(gmax, nmax):
             ))
         if (g, n) == (0, 3):
             terms.append((1, 1))
-        return fraction_sum(terms)
+        return _fraction_sum(terms)
 
     for g in range(gmax + 1):
         for n in range(2, nmax + 2 * (gmax - g) + 1):
@@ -322,7 +328,8 @@ def _alt_term_by_term(gmax, nmax):
 
 def _cold_stores(monkeypatch):
     for name in ("_direct_rows", "_alt_rows", "_alt_cells"):
-        monkeypatch.setattr(agn, name, [])
+        monkeypatch.setattr(agn, name, RowStore())
+    monkeypatch.setattr(agn, "_alt_weights", [])
 
 
 def test_rows_match_term_by_term_recursions(monkeypatch):
@@ -340,18 +347,21 @@ def test_rows_match_term_by_term_recursions(monkeypatch):
     # The direct row holds a(g, k+2)/k!, with 0 for the left-out a(0,3);
     # the alternating rows hold P(g, nu), with its 1/nu!, and a(g, k+2),
     # with 0 for a(0,2).
-    for g, row in enumerate(agn._direct_rows):
-        for k, c in enumerate(row.nums):
+    rows = agn._direct_rows
+    for g, (row, den) in enumerate(zip(rows.nums, rows.dens)):
+        for k, c in enumerate(row):
             want = 0 if (g, k) in ((0, 0), (0, 1)) else direct[(g, k + 2)] / math.factorial(k)
-            assert Fraction(c, row.den) == want, (g, k)
-    for g, row in enumerate(agn._alt_rows):
-        for nu, c in enumerate(row.nums):
-            assert Fraction(c, row.den) == P[(g, nu)], (g, nu)
-    for g, row in enumerate(agn._alt_cells):
-        for k, c in enumerate(row.nums):
-            assert Fraction(c, row.den) == (0 if (g, k) == (0, 0) else alt[(g, k + 2)]), (g, k)
-    assert len(agn._direct_rows[0]) == 59
-    assert len(agn._alt_rows[0]) == len(agn._alt_cells[0]) == 49
+            assert Fraction(c, den) == want, (g, k)
+    rows = agn._alt_rows
+    for g, (row, den) in enumerate(zip(rows.nums, rows.dens)):
+        for nu, c in enumerate(row):
+            assert Fraction(c, den) == P[(g, nu)], (g, nu)
+    rows = agn._alt_cells
+    for g, (row, den) in enumerate(zip(rows.nums, rows.dens)):
+        for k, c in enumerate(row):
+            assert Fraction(c, den) == (0 if (g, k) == (0, 0) else alt[(g, k + 2)]), (g, k)
+    assert len(agn._direct_rows.nums[0]) == 59
+    assert len(agn._alt_rows.nums[0]) == len(agn._alt_cells.nums[0]) == 49
 
 
 def test_cells_survive_a_row_rescale(monkeypatch):
@@ -363,15 +373,15 @@ def test_cells_survive_a_row_rescale(monkeypatch):
         return [(a_direct(g, n), a_alt(g, n)) for g in range(4) for n in range(21)]
 
     def dens():
-        return [row.den for row in agn._direct_rows + agn._alt_cells]
+        return agn._direct_rows.dens + agn._alt_cells.dens
 
     before, before_dens = read(), dens()
     a_direct(2, 200)
     a_alt(2, 200)
     assert dens() != before_dens
     assert read() == before
-    assert agn._direct_rows[0].nums[1] == 0 and a_direct(0, 3) == 1
-    assert agn._alt_cells[0].nums[0] == 0 and a_alt(0, 2) == 0
+    assert agn._direct_rows.nums[0][1] == 0 and a_direct(0, 3) == 1
+    assert agn._alt_cells.nums[0][0] == 0 and a_alt(0, 2) == 0
 
 
 _STORE_DUMP = (
@@ -382,8 +392,9 @@ _STORE_DUMP = (
     "for route, g, n in json.loads(sys.argv[1]):\n"
     "    (agn.a_direct if route == 'direct' else agn.a_alt)(g, n)\n"
     "def cells(rows, scale):\n"
-    "    return [[g, k + 2, str(Fraction(c * scale(k), row.den))]\n"
-    "            for g, row in enumerate(rows) for k, c in enumerate(row.nums)]\n"
+    "    return [[g, k + 2, str(Fraction(c * scale(k), den))]\n"
+    "            for g, (row, den) in enumerate(zip(rows.nums, rows.dens))\n"
+    "            for k, c in enumerate(row)]\n"
     "print(json.dumps({'direct': cells(agn._direct_rows, factorial),\n"
     "                  'alt': cells(agn._alt_cells, lambda k: 1),\n"
     "                  'P': cells(agn._alt_rows, lambda k: 1)}))\n"
@@ -421,3 +432,23 @@ def test_cold_routes_agree_at_deep_n(tmp_path):
     )
     proc = cold([], tmp_path, code)
     assert (proc.returncode, proc.stdout) == (0, b"True\n"), proc.stderr
+
+
+def test_wide_values_print_save_and_load(tmp_path):
+    # a_{0,1500} has more digits than CPython's default limit on int <->
+    # str conversions (4300). The command prints it, and library calls of
+    # save_table and load_table round-trip a table holding it; each lifts
+    # the limit only while it runs and puts it back.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    proc = cold(["agn", "--g", "0", "--n", "1500", "--method", "series"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    with unlimited_digits():
+        want = str(agn_from_series(0, 1500))
+    assert len(want) > 4300 and proc.stdout.decode() == want + "\n"
+    table = build_table(0, 1500, "series")
+    path = tmp_path / "t.txt"
+    save_table(table, path)
+    assert limit() == before
+    assert load_table(path) == table
+    assert limit() == before

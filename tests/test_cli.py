@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from mvlab import asym, cli, genus
 from mvlab.agn import METHODS, build_table, save_table
 from mvlab.cli import main, resolve_cache_dir
 from mvlab.verify import VerifyCase, VerifyResult
+
+from test_cold import TABLE, _digest, _sha, cold
 
 
 def run(capsys, *argv):
@@ -470,3 +473,48 @@ def test_output_is_pinned(tmp_path, capsys, name, fmt):
     sub = lambda text: text.replace("{tmp}", str(tmp_path))
     code, out, err = run(capsys, *map(sub, argv), "--format", fmt)
     assert (code, out, err) == (want_code, sub(want[fmt]), "")
+
+
+def test_calls_in_one_process_leave_no_state(tmp_path, capsys):
+    # The parser is built once per process and shared by every call, so
+    # a parse must leave nothing behind (a default list mutated in place,
+    # say). Each command's stdout in the sequence equals what it prints
+    # alone: the pinned digests of a tests/test_cold.py entry, or else a
+    # fresh interpreter's stdout.
+    pinned = {e.name: e for e in TABLE}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    asym_argv = ["asym", "--gmax", "30", "--order", "4", "--bits", "64"]  # default --n
+    steps = [
+        (asym_argv, None),
+        (["agn", "--g", "3", "--n", "1", "--method", "alt"], "agn-g3-n1-alt-series"),
+        # The default --method.
+        (["table", "--gmax", "12", "--nmax", "40", "--out", "{tmp}/t.txt"],
+         "table-12x40-three-routes"),
+        (["verify", "--suite", "lambda"], None),
+        (["agn", "--g", "2"], None),  # argparse rejects it: --n is required
+        (asym_argv, None),
+    ]
+    outs = []
+    for i, (argv, name) in enumerate(steps):
+        tmp = tmp_path / str(i)
+        tmp.mkdir()
+        real = [a.replace("{tmp}", str(tmp)) for a in argv]
+        if "--n" not in argv and argv[0] == "agn":
+            with pytest.raises(SystemExit) as exc:
+                main(real)
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and out.out == "" and "--n" in out.err
+            continue
+        code = main(real)
+        stdout = capsys.readouterr().out.encode().replace(str(tmp).encode(), b"{tmp}")
+        if name:
+            entry = pinned[name]
+            files = {f: _digest(tmp / f) for f in entry.files}
+            assert (code, _sha(stdout), files) == (entry.code, entry.stdout, entry.files), argv
+        else:
+            alone = cold(real, tmp)
+            assert (code, stdout) == (alone.returncode, alone.stdout), argv
+        outs.append((code, stdout))
+    assert outs[-1] == outs[0]
+    assert cli.build_parser() is cli.build_parser()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

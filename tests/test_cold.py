@@ -88,6 +88,12 @@ TABLE = [
                for m in ("direct", "alt", "series")), 0,
          "dd112da923c2f3d11344ccac02caa9a962a7ec02996badeb8f6c32f3cd529a49",
          files={"t.txt": "5b27017b7f28ed920f316ae128b8f12b8fc7069dc3657024d5f8301c35c06071"}),
+    # Wider: g <= 20 and n <= 60 grow the rows' denominators further.
+    Cold("table-20x60-three-routes",
+         tuple(_cli(f"table --gmax 20 --nmax 60 --method {m} --out {{tmp}}/t.txt")
+               for m in ("direct", "alt", "series")), 0,
+         "9fbf36f080437a342af042d1a75ee106c15d6b86dce2674d87a134934feefb45",
+         files={"t.txt": "814d82e33e0a41661ebde8b08f47cca5d8195f098becefc42f148262ccfcbde3"}),
     Cold("agn-g2-n400-direct-alt",
          (_cli("agn --g 2 --n 400 --method direct"), _cli("agn --g 2 --n 400 --method alt")), 0,
          "0d50c526d9d1955abc1988d6f146d18de84fe9387dd9a80c5f1ee9531697ccc6"),
@@ -113,6 +119,14 @@ TABLE = [
          "766aa89fa9631d9e86ebce66a6a940389c656bd85326b3edb5a779cb2a0dda09"),
     Cold("agn-g36-n7-series", (_cli("agn --g 36 --n 7 --method series"),), 0,
          "8da69b7365321450f64717f72a4ce0aef0aadc3bdc604e1811a56701a2548d65"),
+    # Exact values wider than CPython's default limit on int <-> str
+    # conversions (4300 digits) print and save.
+    Cold("agn-g0-n1500-series", (_cli("agn --g 0 --n 1500 --method series"),), 0,
+         "5ef485a9d0cee7e7f5fff36c6c2b8766fa9be04fea3ee74d3d52d0b580c2c376"),
+    Cold("table-g0-n1500-series",
+         (_cli("table --gmax 0 --nmax 1500 --method series --out {tmp}/t.txt"),), 0,
+         "e4e7141557069165f29f1410e77f93b203efbbe0240f0e0aa69ac66ebfe2a7a0",
+         files={"t.txt": "f70bd672dec5af5725cdaa6dcf05c120b9d5bd9fa8bf13005863f7b508f921d9"}),
     # Rejected inputs: exit 2, one stderr line, nothing written.
     Cold("table-rejected-writes-nothing",
          (_cli("table --gmax -1 --nmax 2 --out {tmp}/rejected/t.txt"),), 2, _sha(b""),
@@ -170,3 +184,16 @@ def test_cold_command(entry, tmp_path):
         else:
             want = entry.stderr.replace("{tmp}", str(tmp))
             assert err.count("\n") == 1 and err.endswith("\n") and want in err, (cmd, err)
+
+
+def test_wide_table_lists_in_the_cache(tmp_path):
+    # `cache` loads the table a `table` run wrote to the same directory,
+    # values past 4300 digits included: {tmp} / agn_g0_n1500.txt<TAB>1501 entries.
+    table = cold(_cli(f"table --gmax 0 --nmax 1500 --method series --cache-dir {tmp_path}"), tmp_path)
+    assert table.returncode == 0 and table.stderr == b"", table.stderr
+    assert _digest(tmp_path / "agn_g0_n1500.txt") == (
+        "f70bd672dec5af5725cdaa6dcf05c120b9d5bd9fa8bf13005863f7b508f921d9")
+    listing = cold(_cli(f"cache --cache-dir {tmp_path}"), tmp_path)
+    assert (listing.returncode, listing.stderr) == (0, b"")
+    assert listing.stdout.replace(str(tmp_path).encode(), b"{tmp}") == (
+        b"{tmp}\nagn_g0_n1500.txt\t1501 entries\n")

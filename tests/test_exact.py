@@ -11,13 +11,12 @@ from mvlab.exact import (
     GaussianRat,
     GenusBlock,
     LaurentT,
+    RowStore,
     bernoulli,
     double_factorial,
-    DenseRow,
     cauchy_coeff,
     convolve_into,
     fold,
-    fraction_sum,
     laurent_dt,
     pochhammer,
     weighted_sum,
@@ -113,88 +112,62 @@ def test_pochhammer():
     assert pochhammer(Fraction(-2), 4) == 0
 
 
-# Small denominators make the running denominator divide often; the
-# 100..130-bit ones make it grow and force the gcd branch.
-sum_terms = st.lists(
-    st.tuples(
-        st.integers(min_value=-(2**140), max_value=2**140),
-        st.one_of(st.integers(1, 60), st.integers(2**100, 2**130)),
-    ),
-    max_size=12,
+# Entries for a store of rows: zero entries, small denominators that
+# divide a row's running one, and ~100-bit ones that force a rescale of
+# the row and of the cofactors.
+row_entry = st.builds(
+    Fraction,
+    st.one_of(st.just(0), st.integers(-(2**120), 2**120)),
+    st.one_of(st.integers(1, 12), st.integers(2**96, 2**100)),
 )
+# (row, entry, m): the entry is appended to that row as the unreduced
+# pair (m * numerator, m * denominator).
+store_appends = st.lists(st.tuples(st.integers(0, 3), row_entry, st.integers(1, 6)), max_size=16)
 
 
-def _sum_reference(terms):
-    return sum((Fraction(n, d) for n, d in terms), Fraction(0))
-
-
-@given(sum_terms)
-@example([])
-@example([(0, 7), (0, 2**101 + 1)])
-@example([(3, 2**107), (-5, 6), (2, 2**107 + 3)])
-@settings(max_examples=150)
-def test_fraction_sum_matches_reference(terms):
-    want = _sum_reference(terms)
-    got = fraction_sum(terms)
-    assert type(got) is Fraction and got == want
-    # A generator is consumed in one pass.
-    assert fraction_sum(t for t in terms) == want
-    # Appending every term negated, in reverse order, cancels to 0.
-    zero = fraction_sum(terms + [(-n, d) for n, d in reversed(terms)])
-    assert zero == 0 and zero.denominator == 1
-
-
-def test_fraction_sum_edge_cases():
-    assert fraction_sum([]) == 0 and type(fraction_sum([])) is Fraction
-    assert fraction_sum([(0, 3), (0, 5)]) == 0
-    assert fraction_sum([(1, 2), (1, 3), (-5, 6)]) == 0
-    assert fraction_sum([(1, 6), (1, 10), (-1, 15)]) == Fraction(1, 5)
-    big = 2**127 - 1  # prime, shares no factor with the small denominators
-    terms = [(7, big), (-1, 3), (2, big * 5), (1, 3)]
-    assert fraction_sum(terms) == Fraction(37, 5 * big)
-
-
-# Rows of reduced fractions: zero entries, small denominators that
-# divide the running one, and ~100-bit ones that force a rescale.
-row_entries = st.lists(
-    st.builds(
-        Fraction,
-        st.one_of(st.just(0), st.integers(-(2**120), 2**120)),
-        st.one_of(st.integers(1, 12), st.integers(2**96, 2**100)),
-    ),
-    max_size=10,
-)
-
-
-def _row(entries):
-    row = DenseRow()
-    for v in entries:
-        row.append(v)
-    return row
-
-
-@given(row_entries, row_entries, st.integers(0, 24))
-@example([], [], 0)
-@example([Fraction(0)], [Fraction(1, 3)], 1)
-@example([Fraction(1, 2), Fraction(1, 4)], [Fraction(5, 2**97 + 1)], 1)
-@example([Fraction(1, 6), Fraction(1, 3), Fraction(1, 4), Fraction(0)], [Fraction(1, 6)] * 3, 2)
-@settings(max_examples=150)
-def test_dense_row_matches_fraction_model(xs, ys, k):
-    x, y = _row(xs), _row(ys)
-    # Append and rescale: every entry reads back, over one denominator
-    # that is the lcm of the appended ones.
-    assert len(x) == len(xs) and [Fraction(c, x.den) for c in x.nums] == xs
-    assert x.den == math.lcm(1, *(v.denominator for v in xs))
-    assert type(x.den) is int and all(type(c) is int for c in x.nums)
-    # The Cauchy coefficient, entries past either row's end being zero;
-    # k runs past both ends.
-    model = sum(
+def _cauchy_model(xs, ys, k):
+    return sum(
         (xs[i] * ys[k - i] for i in range(k + 1) if i < len(xs) and k - i < len(ys)),
         Fraction(0),
     )
-    num, den = cauchy_coeff(x, y, k)
-    assert type(num) is int and den == x.den * y.den
-    assert Fraction(num, den) == model
+
+
+@given(store_appends, st.integers(0, 24))
+@example([], 0)
+@example([(0, Fraction(0), 1), (1, Fraction(1, 3), 2)], 1)
+@example([(0, Fraction(1, 2), 1), (0, Fraction(1, 4), 3), (1, Fraction(5, 2**97 + 1), 1)], 1)
+@example([(2, Fraction(1, 6), 1), (0, Fraction(1, 3), 1), (2, Fraction(1, 4), 5),
+          (1, Fraction(0), 2)] + [(1, Fraction(1, 6), 1)] * 3, 2)
+@settings(max_examples=150)
+def test_dense_row_matches_fraction_model(appends, k):
+    store, model = RowStore(), []
+    for g, v, m in appends:
+        while len(store) <= g:
+            store.add_row()
+            model.append([])
+        store.append(g, m * v.numerator, m * v.denominator)
+        model[g].append(v)
+        # After each append: every entry reads back over its row's
+        # denominator, the lcm of the row's entry denominators; den is
+        # the lcm of the rows' denominators, and each cofactor takes its
+        # row's denominator to den.
+        for h, xs in enumerate(model):
+            assert len(store.nums[h]) == len(xs)
+            assert [Fraction(c, store.dens[h]) for c in store.nums[h]] == xs
+            assert store.dens[h] == math.lcm(1, *(v.denominator for v in xs))
+            assert store.cof[h] * store.dens[h] == store.den
+        assert store.den == math.lcm(*store.dens)
+        assert all(type(c) is int for row in store.nums for c in row)
+    # The Cauchy coefficient of two rows' numerators, entries past either
+    # row's end being zero; k runs past both ends. square(g, k) sums it
+    # over g1 + g2 = g, scaled by the cofactors, over den**2.
+    for x, xs in enumerate(model):
+        for y, ys in enumerate(model):
+            num = cauchy_coeff(store.nums[x], store.nums[y], k)
+            assert type(num) is int
+            assert Fraction(num, store.dens[x] * store.dens[y]) == _cauchy_model(xs, ys, k)
+        want = sum((_cauchy_model(model[g1], model[x - g1], k) for g1 in range(x + 1)), Fraction(0))
+        assert Fraction(store.square(x, k), store.den**2) == want
 
 
 _ints = st.lists(st.integers(-50, 50), max_size=8)
