@@ -207,7 +207,7 @@ def richardson_fit(samples, K: int, precision_bits: int = 320) -> AsymFit:
 
 def _check_room(n: int, gmax: int, K: int, precision_bits: int) -> None:
     # Reject before any sample is computed: bad input would otherwise
-    # be found only after the genus tower up to gmax is built. Samples
+    # be found only after the genus rows up to gmax are built. Samples
     # start at g = 2, where every n >= 0 has a stratum.
     if n < 0:
         raise ValueError(f"no stratum for n = {n}")

@@ -4,11 +4,16 @@ Two independent recursions produce the genus profiles u^[g] of the second
 x-derivative of the free energy: one goes through the auxiliary profiles
 tu^[g] and a Bernoulli-weighted change of variables, the other is a
 self-contained quadratic recursion, summed as a Cauchy square. Their
-agreement is a core consistency check. From u^[g] we extract the
-coefficients C_{g,j}, run an independent recursion for
-c_{g,j} = C_{g,j}*(5g-5-j)*(5g-3-j), rebuild the numbers a_{g,n} via a
-rising-factorial formula, and check the genus blocks H_g against a
-second-order ODE in x.
+agreement is a core consistency check. A third, Kazarian's quadratic row
+recursion, gives the rows c_{g,j} = C_{g,j}*(5g-5-j)*(5g-3-j) directly,
+at one linear term per genus.
+
+The rows serve the numbers: `_numerators(g)` reads them, and from it the
+series cells a_{g,n} (a rising-factorial formula), the area constants, the
+fits and the `lambda`/`iz` suites. `coeffs_C` reads C_{g,j} off u^[g] of
+the tilde tower instead, so `mvlab genus`, `hg_block` and the check of the
+genus blocks H_g against a second-order ODE in x run on the tower, and
+comparing `coeffs_C` with `kazarian_c` compares two independent recursions.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ __all__ = [
 
 
 class SupportError(Exception):
-    """Genus profile has a T-exponent outside its proven support."""
+    """A genus profile or row has an exponent outside its proven support."""
 
 
 def _check_support(p: LaurentT, g: int, what: str, width: int) -> None:
@@ -201,13 +206,18 @@ class GenusCoeffs(NamedTuple):
 
 
 def _numerators(g: int) -> tuple[tuple[int, ...], int]:
-    """(U, den) for g >= 2: U_j / den is the coefficient of T^-(5g-1-j)
-    in u^[g], j = 0..g, that is C_{g,j} * m(m+2) with m = 5g-5-j.
+    """(U, den) for g >= 2: U_j / den = c_{g,j} = C_{g,j} * m(m+2) with
+    m = 5g-5-j, j = 0..g, the stored row of the quadratic row recursion.
 
-    `coeffs_C` and `agn_from_series` read their genus data only from
-    here. The support check puts U_0 at the lowest exponent, -(5g-1).
+    `agn_from_series` and `_coeff_C` read their genus data only from
+    here; `coeffs_C` reads the same numbers off u^[g] of the tilde tower,
+    where U_j / den is the coefficient of T^-(5g-1-j). A missing row is
+    built once, by `kazarian_c`, which checks it when it is stored; a
+    read makes no `Fraction`.
     """
-    _, nums, den = u_from_tilde(g).dense()
+    if g not in _kaz_rows:
+        kazarian_c(g)
+    _, nums, den = _kaz_rows[g].dense()
     return nums, den
 
 
@@ -219,20 +229,35 @@ def _coeff_C(g: int, j: int) -> Fraction:
 
 
 def coeffs_C(g: int) -> GenusCoeffs:
-    """C_{g,j} for j = 0..g, read off the u^[g] profile.
+    """C_{g,j} for j = 0..g, read off the u^[g] profile of the tilde tower.
 
     C_{g,j} = U_j / ((5g-5-j)(5g-3-j) den), with U_j / den the
     coefficient of T^-(5g-1-j) in u^[g]. The support of u^[g] must be
     exactly the g+1 exponents -(5g-1)..-(4g-1); anything else is an
-    internal error. The row is not kept: the tower keeps u^[g].
+    internal error. The row is not kept: the tower keeps u^[g]. The
+    series cells and the fits read the same numbers from the row
+    recursion instead (`_numerators`), so this is its cross-check.
     """
     if g < 2:
         raise ValueError("coeffs_C needs g >= 2")
-    return GenusCoeffs(tuple(_coeff_C(g, j) for j in range(g + 1)))
+    _, nums, den = u_from_tilde(g).dense()
+    ms = range(5 * g - 5, 4 * g - 6, -1)
+    return GenusCoeffs(tuple(Fraction(U, m * (m + 2) * den) for U, m in zip(nums, ms)))
 
 
 # Row c_{g,j} of kazarian_c as a polynomial in y, with c_{g,j} at y^j.
 _kaz_rows: dict[int, LaurentT] = {1: LaurentT({0: Fraction(1, 12), 1: Fraction(1, 24)})}
+
+
+def _check_row(row: LaurentT, g: int) -> None:
+    """Require row g to be exactly g+1 nonzero entries at y^0..y^g.
+
+    `LaurentT` drops a zero end entry and shifts lo, so a row that broke
+    this would misalign the series sum over j = 0..g."""
+    lo, nums, _ = row.dense()
+    if lo != 0 or len(nums) != g + 1 or not all(nums):
+        sup = row.support()
+        raise SupportError(f"row c[{g}] supported on {sup}, expected exactly [0,{g}]")
 
 
 def kazarian_c(g: int) -> tuple[Fraction, ...]:
@@ -245,7 +270,7 @@ def kazarian_c(g: int) -> tuple[Fraction, ...]:
     The square and the c_{g-1,j} term are one `fold` to ints b_j over
     den. With Q_j = (5g-2)(5g-3)...(5g-2-j), X_j = den * Q_j * c_{g,j}
     is an int: X_j = (g+1-j) X_{j-1} + Q_j b_j. The row is X_j Q_g/Q_j
-    over den * Q_g, normalized once.
+    over den * Q_g, normalized once, checked and stored.
     """
     if g < 1:
         raise ValueError("kazarian_c needs g >= 1")
@@ -266,7 +291,9 @@ def kazarian_c(g: int) -> tuple[Fraction, ...]:
         for j in range(gg, -1, -1):
             nums.append(xs[j] * tail)
             tail *= 5 * gg - 2 - j
-        _kaz_rows[gg] = LaurentT.from_dense(0, nums[::-1], den * q)
+        row = LaurentT.from_dense(0, nums[::-1], den * q)
+        _check_row(row, gg)
+        _kaz_rows[gg] = row
     return tuple(_kaz_rows[g].coeff(j) for j in range(g + 1))
 
 
@@ -287,10 +314,11 @@ def agn_from_series(g: int, n: int) -> Fraction:
     2^n * rising(m/2, n) = m(m+2)...(m+2n-2). With C_{g,j} =
     U_j / (m(m+2) den), term j is U_j (m+4)(m+6)...(m+2n-2) / t_j over
     den, where the divisor t_j is what the rising product leaves of
-    m(m+2): m(m+2) at n = 0, m+2 at n = 1 and 1 for n >= 2. The terms
-    are summed as ints over L = lcm(t_j), so n >= 2 is one int dot
-    product, and one Fraction is reduced at the end. The genus >= 2
-    cells are memoized.
+    m(m+2): m(m+2) at n = 0, m+2 at n = 1 and 1 for n >= 2. At n >= 2
+    the cell is one int dot product over den; at n < 2 the terms are
+    summed as ints over den L, L = lcm(t_j). One Fraction is reduced at
+    the end. U and den come from `_numerators(g)`, the stored row of the
+    row recursion. The genus >= 2 cells are memoized.
     """
     if _is_structural_zero(g, n):
         return Fraction(0)
@@ -301,11 +329,13 @@ def agn_from_series(g: int, n: int) -> Fraction:
     if (g, n) not in _series:
         nums, den = _numerators(g)
         ms = range(5 * g - 5, 4 * g - 6, -1)
-        ts = [prod(range(m + 2 * n, m + 4, 2)) for m in ms]
-        L = lcm(*ts)
-        total = sum(
-            U * prod(range(m + 4, m + 2 * n, 2)) * (L // t) for U, m, t in zip(nums, ms, ts)
-        )
+        if n >= 2:
+            L = 1
+            total = sum(U * prod(range(m + 4, m + 2 * n, 2)) for U, m in zip(nums, ms))
+        else:
+            ts = [prod(range(m + 2 * n, m + 4, 2)) for m in ms]
+            L = lcm(*ts)
+            total = sum(U * (L // t) for U, t in zip(nums, ts))
         _series[(g, n)] = Fraction(total, den * L)
     return _series[(g, n)]
 

@@ -218,6 +218,23 @@ def test_support_error_reports_one_line(capsys, monkeypatch):
     assert "is not exactly" in err
 
 
+def test_row_support_error_reports_one_line(capsys, monkeypatch):
+    # A row of the row recursion with a zero first entry (b_0 = 0 in every
+    # genus) is refused when genus 2 is stored, before a series cell reads it.
+    fold = genus.fold
+
+    def first_zero(lo, size, squares, lines):
+        bs, den = fold(lo, size, squares, lines)
+        return [0, *bs[1:]], den
+
+    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    monkeypatch.setattr(genus, "_series", {})
+    monkeypatch.setattr(genus, "fold", first_zero)
+    code, out, err = run(capsys, "agn", "--g", "4", "--n", "3", "--method", "series")
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert "row c[2] supported on [1, 2]" in err
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

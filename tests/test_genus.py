@@ -4,10 +4,12 @@ from math import factorial, prod
 
 import pytest
 
-from mvlab import genus
+from mvlab import genus, volumes
 from mvlab.agn import a_direct
-from mvlab.exact import GenusBlock, LaurentT, bernoulli, laurent_dt, weighted_sum
+from mvlab.asym import estimate_m
+from mvlab.exact import GenusBlock, LaurentT, RowStore, bernoulli, laurent_dt, weighted_sum
 from mvlab.genus import (
+    SupportError,
     agn_from_series,
     closed_H,
     coeffs_C,
@@ -18,6 +20,8 @@ from mvlab.genus import (
     u_direct,
     u_from_tilde,
 )
+from mvlab.verify import run_suite
+from mvlab.volumes import sv_constant
 
 
 def test_profile_support_is_exact():
@@ -219,26 +223,35 @@ def test_series_closed_forms_low_genus():
 
 
 def test_series_rows_are_built_once(monkeypatch):
-    # Every series quantity of genus g reads the one tower entry of
-    # genus g, so the profiles are built once however many cells are
-    # asked for: up to genus 9 the tower differentiates each tu^[h] once
-    # per genus h+1..9, and takes no derivative after that.
+    # Every series quantity of genus g reads the one stored row of genus
+    # g, built by one `kazarian_c` call, and `coeffs_C` and `hg_block`
+    # read the one tower entry of genus g: up to genus 9 the tower
+    # differentiates each tu^[h] once per genus h+1..9, and takes no
+    # derivative after that.
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
     monkeypatch.setattr(genus, "_tower_dts", [])
+    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
     monkeypatch.setattr(genus, "_series", {})
-    calls = []
-    dt2 = genus._dt2
+    calls, rows = [], []
+    dt2, kaz = genus._dt2, genus.kazarian_c
 
     def counted(lo, nums):
         calls.append(lo)
         return dt2(lo, nums)
 
+    def counted_rows(g):
+        rows.append(g)
+        return kaz(g)
+
     monkeypatch.setattr(genus, "_dt2", counted)
+    monkeypatch.setattr(genus, "kazarian_c", counted_rows)
     for g in (2, 5, 9):
         for n in range(31):
             agn_from_series(g, n)
         coeffs_C(g)
         hg_block(g)
+    assert rows == [2, 5, 9]
+    assert sorted(genus._kaz_rows) == list(range(1, 10))
     assert len(genus._tower) == 10
     assert len(calls) == 9 * 10 // 2
     assert [ent[1] for ent in genus._tower_dts] == [9 - h for h in range(9)]
@@ -257,8 +270,8 @@ def test_series_cells_match_rising_product_sum():
             assert agn_from_series(g, n) == want, (g, n)
 
 
-def test_series_cells_read_only_the_profile(monkeypatch):
-    # Every n, n < 2 included, reads u^[g]'s numerators, not the C row.
+def test_series_cells_read_only_the_rows(monkeypatch):
+    # Every n, n < 2 included, reads the row numerators, not the C row.
     want = {(g, n): agn_from_series(g, n) for g in range(2, 13) for n in range(4)}
 
     def no_rows(g):
@@ -267,6 +280,76 @@ def test_series_cells_read_only_the_profile(monkeypatch):
     monkeypatch.setattr(genus, "coeffs_C", no_rows)
     monkeypatch.setattr(genus, "_series", {})
     assert {cell: agn_from_series(*cell) for cell in want} == want
+
+
+def _refuse(name):
+    def refused(*args):
+        raise AssertionError(f"{name}{args} called")
+    return refused
+
+
+def test_numbers_read_no_profile(monkeypatch):
+    # The series cells, the area constants, the lambda/iz suites and the
+    # fits run with every profile recursion refused, from empty stores.
+    def numbers():
+        return (agn_from_series(30, 4), sv_constant(20, 3), run_suite("lambda", 30),
+                run_suite("iz", 30), estimate_m(2, 24, 3))
+
+    want = numbers()
+    assert want[2].passed and want[3].passed
+    for name in ("tilde_u", "u_from_tilde", "u_direct"):
+        monkeypatch.setattr(genus, name, _refuse(name))
+    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    monkeypatch.setattr(genus, "_series", {})
+    monkeypatch.setattr(volumes, "_sv_rows", RowStore())
+    assert numbers() == want
+    assert sorted(genus._kaz_rows) == list(range(1, 31))
+
+
+def test_profile_data_reads_no_row(monkeypatch):
+    # The other way: coeffs_C and the ODE check run with the row
+    # recursion refused, from an empty tower.
+    want = coeffs_C(12)
+    monkeypatch.setattr(genus, "kazarian_c", _refuse("kazarian_c"))
+    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    monkeypatch.setattr(genus, "_tower", genus._tower[:1])
+    monkeypatch.setattr(genus, "_tower_dts", [])
+    assert coeffs_C(12) == want
+    assert genus_ode_residual(8).is_zero()
+    assert sorted(genus._kaz_rows) == [1]
+
+
+def _zero_b(which):
+    # A `fold` that zeroes the entries `which(size)` of its sum: in the
+    # row recursion, of b_j.
+    fold = genus.fold
+
+    def broken(lo, size, squares, lines):
+        bs, den = fold(lo, size, squares, lines)
+        return [0 if j in which(size) else b for j, b in enumerate(bs)], den
+    return broken
+
+
+def test_row_check_is_exact():
+    # Row 3 must be four nonzero entries at y^0..y^3.
+    row = {0: 1, 1: 2, 2: 3, 3: 4}
+    genus._check_row(LaurentT(row), 3)
+    for bad in ({**row, 0: 0}, {**row, 3: 0}, {**row, 1: 0}, {**row, 4: 1}, {}):
+        with pytest.raises(SupportError, match=r"row c\[3\]"):
+            genus._check_row(LaurentT(bad), 3)
+
+
+@pytest.mark.parametrize("which", [lambda size: {0}, lambda size: set(range(size))],
+                         ids=["first-entry-zero", "all-zero"])
+def test_defective_row_is_refused_when_stored(monkeypatch, which):
+    # A zero first entry would shift lo and misalign the series sum; the
+    # row is refused when it is stored, and a read never sees it.
+    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    monkeypatch.setattr(genus, "_series", {})
+    monkeypatch.setattr(genus, "fold", _zero_b(which))
+    with pytest.raises(SupportError, match=r"row c\[2\]"):
+        agn_from_series(5, 3)
+    assert sorted(genus._kaz_rows) == [1]
 
 
 def test_tower_rebuilds_after_truncation(monkeypatch):
