@@ -6,7 +6,7 @@ tu^[g] and a Bernoulli-weighted change of variables, the other is a
 self-contained quadratic recursion, summed as a Cauchy square. Their
 agreement is a core consistency check. A third, Kazarian's quadratic row
 recursion, gives the rows c_{g,j} = C_{g,j}*(5g-5-j)*(5g-3-j) directly,
-at one linear term per genus.
+at one linear term per genus, on ints over a known denominator R_g.
 
 The rows serve the numbers: `_numerators(g)` reads them, and from it the
 series cells a_{g,n} (a rising-factorial formula), the area constants, the
@@ -19,17 +19,12 @@ comparing `coeffs_C` with `kazarian_c` compares two independent recursions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from functools import cache
+from math import factorial, isqrt, lcm, prod
 from typing import NamedTuple
 
-from .exact import (
-    GenusBlock,
-    LaurentT,
-    bernoulli,
-    double_factorial,
-    fold,
-    weighted_sum,
-)
+from .exact import (GenusBlock, LaurentT, bernoulli, convolve_into, double_factorial, fold,
+                    weighted_sum)
 
 __all__ = [
     "GenusCoeffs",
@@ -205,24 +200,21 @@ class GenusCoeffs(NamedTuple):
     C: tuple[Fraction, ...]
 
 
-def _numerators(g: int) -> tuple[tuple[int, ...], int]:
-    """(U, den) for g >= 2: U_j / den = c_{g,j} = C_{g,j} * m(m+2) with
-    m = 5g-5-j, j = 0..g, the stored row of the quadratic row recursion.
+def _numerators(g: int) -> tuple[list[int], int]:
+    """(X, R) for g >= 2, unreduced: X_j / R = c_{g,j} = C_{g,j} m(m+2),
+    m = 5g-5-j, j = 0..g, the stored row of the row recursion, R = R_g.
 
-    `agn_from_series` and `_coeff_C` read their genus data only from
-    here; `coeffs_C` reads the same numbers off u^[g] of the tilde tower,
-    where U_j / den is the coefficient of T^-(5g-1-j). A missing row is
-    built once, by `kazarian_c`, which checks it when it is stored; a
-    read makes no `Fraction`.
+    `agn_from_series` and `_coeff_C` read their genus data only from here;
+    `coeffs_C` reads the same numbers off the tilde tower. A missing row is
+    built and checked once, by `kazarian_c`; a read makes no `Fraction`.
     """
-    if g not in _kaz_rows:
+    if len(_kaz_rows) <= g:
         kazarian_c(g)
-    _, nums, den = _kaz_rows[g].dense()
-    return nums, den
+    return _kaz_rows[g], _row_den(g)
 
 
 def _coeff_C(g: int, j: int) -> Fraction:
-    """C_{g,j} = U_j / ((5g-5-j)(5g-3-j) den), read off `_numerators(g)`."""
+    """C_{g,j} = X_j / ((5g-5-j)(5g-3-j) R), read off `_numerators(g)`."""
     nums, den = _numerators(g)
     m = 5 * g - 5 - j
     return Fraction(nums[j], m * (m + 2) * den)
@@ -245,56 +237,64 @@ def coeffs_C(g: int) -> GenusCoeffs:
     return GenusCoeffs(tuple(Fraction(U, m * (m + 2) * den) for U, m in zip(nums, ms)))
 
 
-# Row c_{g,j} of kazarian_c as a polynomial in y, with c_{g,j} at y^j.
-_kaz_rows: dict[int, LaurentT] = {1: LaurentT({0: Fraction(1, 12), 1: Fraction(1, 24)})}
+@cache
+def _row_den(g: int) -> int:
+    """R_g = prod over primes p, (p-1)^2 <= 4g, of p^floor(4g/(p-1)^2): R_g c_g is
+    integral (measured, not proved; checked on every row built). The floors
+    are superadditive, so R_g1 R_g2 | R_(g1+g2) and 6 R_(g-1) | R_g."""
+    ps = [p for p in range(2, isqrt(4 * g) + 2) if all(p % q for q in range(2, p))]
+    return prod(p ** (4 * g // (p - 1) ** 2) for p in ps)
 
 
-def _check_row(row: LaurentT, g: int) -> None:
-    """Require row g to be exactly g+1 nonzero entries at y^0..y^g.
+# Row g as the ints R_g * c_g; the seed, row 0, is the T^1 coefficient of u^[0] = 1 - T.
+_kaz_rows: list[list[int]] = [[-1]]
 
-    `LaurentT` drops a zero end entry and shifts lo, so a row that broke
-    this would misalign the series sum over j = 0..g."""
-    lo, nums, _ = row.dense()
-    if lo != 0 or len(nums) != g + 1 or not all(nums):
-        sup = row.support()
-        raise SupportError(f"row c[{g}] supported on {sup}, expected exactly [0,{g}]")
+
+def _exact(n: int, d: int, g: int, what: str) -> int:
+    """n / d in building row g; a remainder means R_g misses a factor."""
+    q, r = divmod(n, d)
+    if r:
+        raise SupportError(f"row c[{g}]: {what} is not an int; the bound R_{g} misses a factor")
+    return q
+
+
+def _check_row(row: list[int], g: int) -> None:
+    """Require row g to be exactly g+1 nonzero entries, the j = 0..g of the series sum."""
+    zeros = [j for j, x in enumerate(row) if not x]
+    if len(row) != g + 1 or zeros:
+        raise SupportError(f"row c[{g}]: {len(row)} entries, zero at {zeros}; want {g + 1} nonzero")
 
 
 def kazarian_c(g: int) -> tuple[Fraction, ...]:
-    """Row c_{g,j}, j = 0..g, of the quadratic genus recursion.
+    """Row c_{g,j}, j = 0..g, of the quadratic genus recursion, on ints.
 
-    Seeded at g = 1 with (1/12, 1/24), the two coefficients of u^[1].
-    The convolution (1/2) sum_{g1+g2=g} c_{g1,j1} c_{g2,j2} over
-    j1 + j2 = j is a Cauchy square of the rows as polynomials in y.
-    The linear-in-row factor is (g+1-j)/(5g-2-j) acting on c_{g,j-1}.
-    The square and the c_{g-1,j} term are one `fold` to ints b_j over
-    den. With Q_j = (5g-2)(5g-3)...(5g-2-j), X_j = den * Q_j * c_{g,j}
-    is an int: X_j = (g+1-j) X_{j-1} + Q_j b_j. The row is X_j Q_g/Q_j
-    over den * Q_g, normalized once, checked and stored.
+    c_{g,j} = (g+1-j)/(5g-2-j) c_{g,j-1} + b_j, b_j the y^j coefficient of
+    (1/2) sum_{g1+g2=g} c_g1 c_g2 + (5g-6-j)(5g-4-j)/12 c_{g-1}. B_j = 2 R_g b_j
+    sums each unordered pair once, its shorter row scaled by (2 off the
+    middle, 1 on it) R_g/(R_g1 R_g2), and row g-1 at R_g/(6 R_(g-1)). With
+    Q_j = (5g-2)...(5g-2-j), Y_j = 2 Q_j X_j = (g+1-j) Y_(j-1) + Q_j B_j.
+    Each division is exact, or raises `SupportError` at the first genus R_g misses.
     """
     if g < 1:
         raise ValueError("kazarian_c needs g >= 1")
-    for gg in range(2, g + 1):
-        if gg in _kaz_rows:
-            continue
-        lo, prev, d = _kaz_rows[gg - 1].dense()
-        prev = [(5 * gg - 6 - j) * (5 * gg - 4 - j) * c for j, c in enumerate(prev, lo)]
-        rows = {h: r.dense() for h, r in _kaz_rows.items()}
-        bs, den = fold(0, gg + 1, _pairs(rows, gg), [(Fraction(1, 12), (lo, prev, d))])
-        xs, x, q = [], 0, 1
-        for j, b in enumerate(bs):
+    while len(_kaz_rows) <= g:
+        gg = len(_kaz_rows)
+        R = _row_den(gg)
+        s = _exact(R, 6 * _row_den(gg - 1), gg, f"R_{gg}/(6*R_{gg - 1})")
+        acc = [s * (5 * gg - 6 - j) * (5 * gg - 4 - j) * x for j, x in enumerate(_kaz_rows[-1])]
+        acc.append(0)
+        for g1 in range(1, gg // 2 + 1):
+            s = _exact(R, _row_den(g1) * _row_den(gg - g1), gg, f"R_{gg}/(R_{g1}*R_{gg - g1})")
+            s *= 1 if 2 * g1 == gg else 2
+            convolve_into(acc, [s * x for x in _kaz_rows[g1]], _kaz_rows[gg - g1])
+        row, y, q = [], 0, 1
+        for j, b in enumerate(acc):
             q *= 5 * gg - 2 - j
-            x = (gg + 1 - j) * x + q * b
-            xs.append(x)
-        # X_j * Q_g / Q_j, from the top down.
-        nums, tail = [], 1
-        for j in range(gg, -1, -1):
-            nums.append(xs[j] * tail)
-            tail *= 5 * gg - 2 - j
-        row = LaurentT.from_dense(0, nums[::-1], den * q)
+            y = (gg + 1 - j) * y + q * b
+            row.append(_exact(y, 2 * q, gg, f"R_{gg} * c[{gg},{j}]"))
         _check_row(row, gg)
-        _kaz_rows[gg] = row
-    return tuple(_kaz_rows[g].coeff(j) for j in range(g + 1))
+        _kaz_rows.append(row)
+    return tuple(Fraction(x, _row_den(g)) for x in _kaz_rows[g])
 
 
 def _is_structural_zero(g: int, n: int) -> bool:
@@ -312,13 +312,13 @@ def agn_from_series(g: int, n: int) -> Fraction:
     a_{1,n} = (2^(n-1) (n-1)! + (2n-3)!!)/24. Genus >= 2 uses
     2^n * sum_j C_{g,j} * rising(m/2, n), m = 5g-5-j, where
     2^n * rising(m/2, n) = m(m+2)...(m+2n-2). With C_{g,j} =
-    U_j / (m(m+2) den), term j is U_j (m+4)(m+6)...(m+2n-2) / t_j over
-    den, where the divisor t_j is what the rising product leaves of
+    X_j / (m(m+2) R), term j is X_j (m+4)(m+6)...(m+2n-2) / t_j over
+    R, where the divisor t_j is what the rising product leaves of
     m(m+2): m(m+2) at n = 0, m+2 at n = 1 and 1 for n >= 2. At n >= 2
-    the cell is one int dot product over den; at n < 2 the terms are
-    summed as ints over den L, L = lcm(t_j). One Fraction is reduced at
-    the end. U and den come from `_numerators(g)`, the stored row of the
-    row recursion. The genus >= 2 cells are memoized.
+    the cell is one int dot product over R; at n < 2 the terms are
+    summed as ints over R L, L = lcm(t_j). One Fraction is reduced at
+    the end. X and R = R_g come from `_numerators(g)`, the stored row of
+    the row recursion. The genus >= 2 cells are memoized.
     """
     if _is_structural_zero(g, n):
         return Fraction(0)

@@ -219,20 +219,31 @@ def test_support_error_reports_one_line(capsys, monkeypatch):
 
 
 def test_row_support_error_reports_one_line(capsys, monkeypatch):
-    # A row of the row recursion with a zero first entry (b_0 = 0 in every
-    # genus) is refused when genus 2 is stored, before a series cell reads it.
-    fold = genus.fold
+    # A row of the row recursion that is all zeros (B_j = 0 in every genus)
+    # is refused when genus 2 is stored, before a series cell reads it.
+    convolve_into = genus.convolve_into
 
-    def first_zero(lo, size, squares, lines):
-        bs, den = fold(lo, size, squares, lines)
-        return [0, *bs[1:]], den
+    def zero_sum(acc, a, b):
+        convolve_into(acc, a, b)
+        acc[:] = [0] * len(acc)
 
-    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     monkeypatch.setattr(genus, "_series", {})
-    monkeypatch.setattr(genus, "fold", first_zero)
+    monkeypatch.setattr(genus, "convolve_into", zero_sum)
     code, out, err = run(capsys, "agn", "--g", "4", "--n", "3", "--method", "series")
     assert _one_error_line(code, out, err), (code, out, err)
-    assert "row c[2] supported on [1, 2]" in err
+    assert "row c[2]: 3 entries, zero at [0, 1, 2]; want 3 nonzero" in err
+
+
+def test_lowered_row_bound_reports_one_line(capsys, monkeypatch):
+    # R_g with the exponent of 3 lowered by 1 misses row 1's denominator 24.
+    row_den = genus._row_den
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
+    monkeypatch.setattr(genus, "_series", {})
+    monkeypatch.setattr(genus, "_row_den", lambda g: row_den(g) // 3 if g else 1)
+    code, out, err = run(capsys, "agn", "--g", "10", "--n", "0", "--method", "series")
+    assert _one_error_line(code, out, err), (code, out, err)
+    assert "row c[1]: R_1/(6*R_0) is not an int; the bound R_1 misses a factor" in err
 
 
 def test_verify_unknown_suite(capsys):

@@ -123,6 +123,9 @@ TABLE = [
          "766aa89fa9631d9e86ebce66a6a940389c656bd85326b3edb5a779cb2a0dda09"),
     Cold("agn-g36-n7-series", (_cli("agn --g 36 --n 7 --method series"),), 0,
          "8da69b7365321450f64717f72a4ce0aef0aadc3bdc604e1811a56701a2548d65"),
+    # Every entry of row 80 enters the n = 0 cell, past the fits' g = 60.
+    Cold("agn-g80-n0-series", (_cli("agn --g 80 --n 0 --method series"),), 0,
+         "5ed55639fbdbdac36a0186affaded64d5be5a02f9a30a7fe7fa34b469b5969a7"),
     # Exact values wider than CPython's default limit on int <-> str
     # conversions (4300 digits) print and save.
     Cold("agn-g0-n1500-series", (_cli("agn --g 0 --n 1500 --method series"),), 0,

@@ -1,6 +1,7 @@
+import re
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -204,9 +205,12 @@ def test_direct_kernel_matches_laurent_reference():
 
 
 def test_row_kernel_matches_fraction_reference():
+    # The stored row is the plain ints R_g * c_g.
     for g, row in _reference_kazarian(60).items():
-        assert kazarian_c(g) == tuple(row.coeff(j) for j in range(g + 1)), g
-        assert genus._kaz_rows[g].dense() == row.dense(), g
+        want = tuple(row.coeff(j) for j in range(g + 1))
+        assert kazarian_c(g) == want, g
+        assert genus._kaz_rows[g] == [genus._row_den(g) * c for c in want], g
+        assert all(type(x) is int for x in genus._kaz_rows[g]), g
 
 
 def test_series_closed_forms_low_genus():
@@ -230,7 +234,7 @@ def test_series_rows_are_built_once(monkeypatch):
     # derivative after that.
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
     monkeypatch.setattr(genus, "_tower_dts", [])
-    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     monkeypatch.setattr(genus, "_series", {})
     calls, rows = [], []
     dt2, kaz = genus._dt2, genus.kazarian_c
@@ -251,7 +255,7 @@ def test_series_rows_are_built_once(monkeypatch):
         coeffs_C(g)
         hg_block(g)
     assert rows == [2, 5, 9]
-    assert sorted(genus._kaz_rows) == list(range(1, 10))
+    assert len(genus._kaz_rows) == 10
     assert len(genus._tower) == 10
     assert len(calls) == 9 * 10 // 2
     assert [ent[1] for ent in genus._tower_dts] == [9 - h for h in range(9)]
@@ -299,11 +303,11 @@ def test_numbers_read_no_profile(monkeypatch):
     assert want[2].passed and want[3].passed
     for name in ("tilde_u", "u_from_tilde", "u_direct"):
         monkeypatch.setattr(genus, name, _refuse(name))
-    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     monkeypatch.setattr(genus, "_series", {})
     monkeypatch.setattr(volumes, "_sv_rows", RowStore())
     assert numbers() == want
-    assert sorted(genus._kaz_rows) == list(range(1, 31))
+    assert len(genus._kaz_rows) == 31
 
 
 def test_profile_data_reads_no_row(monkeypatch):
@@ -311,45 +315,112 @@ def test_profile_data_reads_no_row(monkeypatch):
     # recursion refused, from an empty tower.
     want = coeffs_C(12)
     monkeypatch.setattr(genus, "kazarian_c", _refuse("kazarian_c"))
-    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
     monkeypatch.setattr(genus, "_tower_dts", [])
     assert coeffs_C(12) == want
     assert genus_ode_residual(8).is_zero()
-    assert sorted(genus._kaz_rows) == [1]
+    assert len(genus._kaz_rows) == 1
 
 
 def _zero_b(which):
-    # A `fold` that zeroes the entries `which(size)` of its sum: in the
-    # row recursion, of b_j.
-    fold = genus.fold
+    # A `convolve_into` that zeroes the entries `which(size)` of its sum:
+    # in the row recursion, of B_j.
+    convolve_into = genus.convolve_into
 
-    def broken(lo, size, squares, lines):
-        bs, den = fold(lo, size, squares, lines)
-        return [0 if j in which(size) else b for j, b in enumerate(bs)], den
+    def broken(acc, a, b):
+        convolve_into(acc, a, b)
+        for j in which(len(acc)):
+            acc[j] = 0
     return broken
 
 
 def test_row_check_is_exact():
-    # Row 3 must be four nonzero entries at y^0..y^3.
-    row = {0: 1, 1: 2, 2: 3, 3: 4}
-    genus._check_row(LaurentT(row), 3)
-    for bad in ({**row, 0: 0}, {**row, 3: 0}, {**row, 1: 0}, {**row, 4: 1}, {}):
-        with pytest.raises(SupportError, match=r"row c\[3\]"):
-            genus._check_row(LaurentT(bad), 3)
+    # Row 3 must be four nonzero ints, c_{3,j} at j = 0..3.
+    row = [1, 2, 3, 4]
+    genus._check_row(row, 3)
+    text = r"^row c\[3\]: \d+ entries, zero at \[[0-9, ]*\]; want 4 nonzero$"
+    for bad in ([0, 2, 3, 4], [1, 2, 3, 0], [1, 0, 3, 4], [1, 2, 3, 4, 1], [1, 2, 3], []):
+        with pytest.raises(SupportError, match=text):
+            genus._check_row(bad, 3)
 
 
 @pytest.mark.parametrize("which", [lambda size: {0}, lambda size: set(range(size))],
                          ids=["first-entry-zero", "all-zero"])
 def test_defective_row_is_refused_when_stored(monkeypatch, which):
-    # A zero first entry would shift lo and misalign the series sum; the
-    # row is refused when it is stored, and a read never sees it.
-    monkeypatch.setattr(genus, "_kaz_rows", {1: genus._kaz_rows[1]})
+    # A wrong sum is refused when its row is stored, by an inexact division
+    # (first-entry-zero) or by the support check (all-zero); a read never
+    # sees it.
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     monkeypatch.setattr(genus, "_series", {})
-    monkeypatch.setattr(genus, "fold", _zero_b(which))
+    monkeypatch.setattr(genus, "convolve_into", _zero_b(which))
     with pytest.raises(SupportError, match=r"row c\[2\]"):
         agn_from_series(5, 3)
-    assert sorted(genus._kaz_rows) == [1]
+    assert len(genus._kaz_rows) == 2
+
+
+def _lowered(p):
+    # R_g with the exponent of the prime p lowered by 1 wherever it is positive.
+    row_den = genus._row_den
+    return lambda g: row_den(g) // p if row_den(g) % p == 0 else row_den(g)
+
+
+@pytest.mark.parametrize("p,g,what", [(3, 1, "R_1/(6*R_0)"), (5, 4, "R_4 * c[4,3]"),
+                                      (7, 9, "R_9 * c[9,8]")], ids=["p3", "p5", "p7"])
+def test_lowered_bound_fails_at_the_first_genus_it_misses(monkeypatch, p, g, what):
+    # R_g holds p exactly to the power the denominator of row g needs, at
+    # the first genus whose R_g has p; one factor less is an inexact
+    # division there, and the rows below it are stored unchanged.
+    kazarian_c(12)
+    want = genus._kaz_rows[:g]
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
+    monkeypatch.setattr(genus, "_row_den", _lowered(p))
+    text = f"row c[{g}]: {what} is not an int; the bound R_{g} misses a factor"
+    with pytest.raises(SupportError, match=f"^{re.escape(text)}$"):
+        kazarian_c(12)
+    assert genus._kaz_rows == want
+
+
+@pytest.mark.parametrize("pair,g", [(lambda g1, g2: g1 == g2, 2),
+                                    (lambda g1, g2: g1 == 1 < g2, 3),
+                                    (lambda g1, g2: g1 == 2 < g2, 5)],
+                         ids=["middle", "one-and-rest", "two-and-rest"])
+def test_doubled_pair_cofactor_is_refused(monkeypatch, pair, g):
+    # One pair at twice its cofactor: the rows below the first genus it
+    # enters agree with the tower's coeffs_C, and that genus's row is
+    # refused by an inexact division before it could disagree.
+    convolve_into = genus.convolve_into
+
+    def doubled(acc, a, b):
+        convolve_into(acc, [2 * x for x in a] if pair(len(a) - 1, len(b) - 1) else a, b)
+
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
+    monkeypatch.setattr(genus, "convolve_into", doubled)
+    for h in range(2, g):
+        m = range(5 * h - 5, 4 * h - 6, -1)
+        assert kazarian_c(h) == tuple(c * k * (k + 2) for c, k in zip(coeffs_C(h).C, m)), h
+    with pytest.raises(SupportError, match=rf"^row c\[{g}\]: R_{g} \* c\[{g},"):
+        kazarian_c(g)
+
+
+def test_row_den_divisibilities():
+    # Floor superadditivity: R_g1 R_g2 divides R_(g1+g2), 6 R_(g-1) divides
+    # R_g, so every cofactor of the row recursion is an int.
+    R = [genus._row_den(g) for g in range(151)]
+    assert R[:3] == [1, 48, 2304]
+    for g in range(1, 151):
+        assert R[g] % (6 * R[g - 1]) == 0, g
+        for g1 in range(1, g // 2 + 1):
+            assert R[g] % (R[g1] * R[g - g1]) == 0, (g1, g - g1)
+
+
+def test_row_den_is_tight():
+    # R_g is a multiple of the reduced denominator of row g, at most 16
+    # bits above it: a looser bound would silently widen every row.
+    for g in range(1, 61):
+        den = lcm(*(c.denominator for c in kazarian_c(g)))
+        q, r = divmod(genus._row_den(g), den)
+        assert r == 0 and q.bit_length() <= 16, (g, q)
 
 
 def test_tower_rebuilds_after_truncation(monkeypatch):

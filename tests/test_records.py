@@ -3,13 +3,17 @@
 Records are NamedTuples, except PiScaled, GaussianRat and AgnTable:
 as tuples those would concatenate under +, repeat under int * and
 report a tuple length. mpmath, dataclasses and inspect stay unloaded
-until a command makes a float.
+until a command makes a float, and the source imports nothing but the
+standard library and mpmath.
 """
 
+import ast
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,24 @@ def test_cli_import_loads_no_mpmath_dataclasses_or_inspect(tmp_path):
     assert got["runs"] == [[0, _VOLUME_OUT], [1, _ASYM_OUT["csv"]]]
     # The floats were made, so mpmath was loaded on the way.
     assert got["mpmath_after_runs"]
+
+
+def test_src_imports_only_the_standard_library_and_mpmath():
+    # The package declares only mpmath, so no module of src may import
+    # numpy, sympy or any other installed package.
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "mpmath", (path.name, name)
 
 
 def _records():
