@@ -17,12 +17,11 @@ from .asym import (
     normalize_vol,
     richardson_fit,
 )
-from .exact import GaussianRat, LaurentT, bernoulli, laurent_dt
+from .exact import LaurentT, bernoulli
 from .funceq import verify_functional_eqs
 from .genus import (
     GenusCoeffs,
     agn_from_series,
-    closed_H,
     coeffs_C,
     kazarian_c,
     tilde_u,
@@ -47,9 +46,9 @@ __all__ = [
     "AgnTable", "a_alt", "a_direct", "build_table", "load_table", "save_table",
     "AsymFit", "compare_report", "conjectured_C", "conjectured_m",
     "estimate_C", "estimate_m", "normalize_vol", "richardson_fit",
-    "BigFloat", "GaussianRat", "LaurentT", "bernoulli", "laurent_dt",
+    "BigFloat", "LaurentT", "bernoulli",
     "verify_functional_eqs",
-    "GenusCoeffs", "agn_from_series", "closed_H", "coeffs_C", "kazarian_c",
+    "GenusCoeffs", "agn_from_series", "coeffs_C", "kazarian_c",
     "tilde_u", "u_direct", "u_from_tilde",
     "GOLDEN_TABLE1", "run_suite",
     "PiScaled", "cg_seq", "kappa", "lambda_g_value", "sv_constant",

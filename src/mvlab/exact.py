@@ -2,13 +2,12 @@
 
 Rationals are ``fractions.Fraction`` throughout (lowest terms, exact).
 This module adds the pieces the rest of the package leans on: Bernoulli
-numbers, double factorials, the Pochhammer symbol, Gaussian rationals,
-growing rows of rationals with per-row and shared denominators and
-their Cauchy coefficients, the integer convolution, Laurent polynomials in T (int
-numerators over one denominator) with their weighted-sum kernel and the
-derivation D_T = d/dx acting as D_T(T^e) = -e*T^(e-2), genus blocks
-that pair a Laurent part with a log(1/T) coefficient, and ``Frozen``,
-the base of the immutable records that must not be tuples.
+numbers, double factorials, growing rows of rationals with per-row and
+shared denominators and their Cauchy coefficients, the integer
+convolution, ``LaurentT``, the frozen record of a Laurent polynomial in
+T that the genus tower stores, the one sum kernel ``fold``, and
+``Frozen``, the base of the immutable records that must not be tuples.
+A comment marks each name that stays with no caller in the package.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "bernoulli",
@@ -32,9 +31,7 @@ __all__ = [
     "GaussianRat",
     "LaurentT",
     "fold",
-    "weighted_sum",
     "laurent_dt",
-    "GenusBlock",
     "unlimited_digits",
 ]
 
@@ -86,6 +83,7 @@ def double_factorial(m: int) -> int:
     return out
 
 
+# No src caller: perfbench/tracer.py's LAYERS times it by name.
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Rising product a*(a+1)*...*(a+n-1); equals 1 when n = 0."""
     if n < 0:
@@ -237,6 +235,7 @@ class Frozen:
         return f"{type(self).__name__}({args})"
 
 
+# No src caller: perfbench/tracer.py's LAYERS times its product by name.
 class GaussianRat(Frozen):
     """Complex number with exact rational real and imaginary parts."""
 
@@ -280,7 +279,8 @@ class GaussianRat(Frozen):
 
 
 class LaurentT(Frozen):
-    """Finite Laurent polynomial in T with exact rational coefficients.
+    """Finite Laurent polynomial in T with exact rational coefficients:
+    the frozen record the genus tower stores its profiles in.
 
     Immutable and dense: the coefficient of T^(lo + i) is nums[i] / den
     for one int tuple nums and one int den > 0. The form is normal, so
@@ -325,20 +325,13 @@ class LaurentT(Frozen):
         res._set(lo, nums, den)
         return res
 
-    @staticmethod
-    def monomial(e: int, c: Fraction | int = 1) -> "LaurentT":
-        return LaurentT({e: Fraction(c)})
-
-    @staticmethod
-    def zero() -> "LaurentT":
-        return LaurentT()
-
     def coeff(self, e: int) -> Fraction:
         i = e - self._lo
         if 0 <= i < len(self._nums):
             return Fraction(self._nums[i], self._den)
         return Fraction(0)
 
+    # Also read by perfbench/child.py, for genus.max_coeff_bits.
     def items(self) -> list[tuple[int, Fraction]]:
         """(exponent, coefficient) for each nonzero term, ascending."""
         return [
@@ -352,18 +345,7 @@ class LaurentT(Frozen):
     def support(self) -> list[int]:
         return [e for e, n in enumerate(self._nums, self._lo) if n]
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    def __add__(self, other: "LaurentT") -> "LaurentT":
-        return weighted_sum(((1, self), (1, other)))
-
-    def __sub__(self, other: "LaurentT") -> "LaurentT":
-        return weighted_sum(((1, self), (-1, other)))
-
-    def __neg__(self) -> "LaurentT":
-        return weighted_sum(((-1, self),))
-
+    # No src caller: perfbench/tracer.py's LAYERS times it by name.
     def __mul__(self, other: "LaurentT") -> "LaurentT":
         # An integer convolution over the product of the two denominators,
         # and one gcd for the result.
@@ -371,13 +353,6 @@ class LaurentT(Frozen):
         acc = [0] * (len(a) + len(b) - 1) if a and b else []
         convolve_into(acc, a, b)
         return LaurentT.from_dense(self._lo + other._lo, acc, self._den * other._den)
-
-    def scale(self, q: Fraction | int) -> "LaurentT":
-        return weighted_sum(((Fraction(q), self),))
-
-    def times_x(self) -> "LaurentT":
-        """Multiply by x = (1 - T^2)/2."""
-        return (self - self * LaurentT.monomial(2)).scale(Fraction(1, 2))
 
     def __repr__(self) -> str:
         if not self._nums:
@@ -433,17 +408,7 @@ def fold(lo: int, size: int, squares, lines) -> tuple[list[int], int]:
     return acc, den
 
 
-def weighted_sum(terms: Iterable[tuple[Fraction | int, LaurentT]]) -> LaurentT:
-    """Exact sum of w * p over the pairs (w, p), w a Fraction or an int:
-    one `fold` over the terms' joint span, reduced with one gcd."""
-    live = [(w, p.dense()) for w, p in terms if w and p._nums]
-    if not live:
-        return LaurentT()
-    lo = min(r[0] for _, r in live)
-    size = max(r[0] + len(r[1]) for _, r in live) - lo
-    return LaurentT.from_dense(lo, *fold(lo, size, (), live))
-
-
+# No src caller: perfbench/tracer.py's LAYERS times it by name.
 def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
     """Apply the derivation D_T = d/dx k times: D_T(T^e) = -e*T^(e-2).
 
@@ -466,25 +431,3 @@ def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
         falling.append(f)
     nums = [sign * f * c for f, c in zip(falling, p._nums)]
     return LaurentT.from_dense(p._lo - 2 * k, nums, p._den)
-
-
-class GenusBlock(NamedTuple):
-    """A Laurent polynomial in T plus an optional log(1/T) multiple.
-
-    Only the genus-1 block carries a nonzero log coefficient.
-    """
-
-    log_coeff: Fraction
-    laurent: LaurentT
-
-    def ddx_n(self, k: int) -> "GenusBlock":
-        """Apply d/dx k times in one pass; the result has no log part."""
-        if k < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if k == 0:
-            return self
-        lau = laurent_dt(self.laurent, k)
-        if self.log_coeff:
-            # d/dx log(1/T) = T^-2, so the log part feeds D^(k-1) T^-2.
-            lau = lau + laurent_dt(LaurentT.monomial(-2, self.log_coeff), k - 1)
-        return GenusBlock(Fraction(0), lau)

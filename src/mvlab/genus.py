@@ -11,9 +11,9 @@ at one linear term per genus, on ints over a known denominator R_g.
 The rows serve the numbers: `_numerators(g)` reads them, and from it the
 series cells a_{g,n} (a rising-factorial formula), the area constants, the
 fits and the `lambda`/`iz` suites. `coeffs_C` reads C_{g,j} off u^[g] of
-the tilde tower instead, so `mvlab genus`, `hg_block` and the check of the
-genus blocks H_g against a second-order ODE in x run on the tower, and
-comparing `coeffs_C` with `kazarian_c` compares two independent recursions.
+the tilde tower instead, so `mvlab genus` runs on the tower, and comparing
+`coeffs_C` with `kazarian_c` compares two independent recursions. The
+tests check the tower's blocks H_g against the genus ODE in x as well.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from functools import cache
 from math import factorial, isqrt, lcm, prod
 from typing import NamedTuple
 
-from .exact import (GenusBlock, LaurentT, bernoulli, convolve_into, double_factorial, fold,
-                    weighted_sum)
+from .exact import LaurentT, bernoulli, convolve_into, double_factorial, fold
 
 __all__ = [
     "GenusCoeffs",
@@ -34,9 +33,6 @@ __all__ = [
     "coeffs_C",
     "kazarian_c",
     "agn_from_series",
-    "closed_H",
-    "hg_block",
-    "genus_ode_residual",
 ]
 
 
@@ -339,64 +335,3 @@ def agn_from_series(g: int, n: int) -> Fraction:
         _series[(g, n)] = Fraction(total, den * L)
     return _series[(g, n)]
 
-
-def closed_H(g: int) -> GenusBlock:
-    """The closed genus blocks H_0, H_1, H_2."""
-    if g == 0:
-        return GenusBlock(
-            Fraction(0),
-            LaurentT(
-                {
-                    0: Fraction(1, 40),
-                    2: Fraction(-1, 12),
-                    4: Fraction(1, 8),
-                    5: Fraction(-1, 15),
-                }
-            ),
-        )
-    if g == 1:
-        return GenusBlock(
-            Fraction(1, 24), LaurentT({0: Fraction(1, 24), 1: Fraction(-1, 24)})
-        )
-    if g == 2:
-        return GenusBlock(
-            Fraction(0),
-            LaurentT(
-                {
-                    -5: Fraction(7, 1440),
-                    -4: Fraction(5, 1152),
-                    -3: Fraction(7, 5760),
-                }
-            ),
-        )
-    raise ValueError("closed form available only for g in {0, 1, 2}")
-
-
-def hg_block(g: int) -> GenusBlock:
-    """H_g as a genus block; closed forms below genus 2, C data above."""
-    if g <= 1:
-        return closed_H(g)
-    C = coeffs_C(g).C
-    return GenusBlock(
-        Fraction(0), LaurentT({-(5 * g - 5 - j): C[j] for j in range(g + 1)})
-    )
-
-
-def genus_ode_residual(g: int) -> LaurentT:
-    """Left side of the genus ODE; identically zero when the tower is right.
-
-    x*H_g'' + (2g - 3/2)*H_g' - (1/4)*sum_{g1+g2=g} H_g1''*H_g2''
-    - (1/24)*H_{g-1}''''.
-    """
-    if g < 2:
-        raise ValueError("the ODE check starts at g = 2")
-    blocks = [hg_block(h) for h in range(g + 1)]
-    d2 = [b.ddx_n(2).laurent for b in blocks]
-    # (1/4) * sum over g1 + g2 = g is half of H_0''*H_g'' plus the inner pairs.
-    quad = weighted_sum([(1, d2[0] * d2[g])] + [(w, a * b) for w, a, b in _pairs(d2, g)])
-    return weighted_sum([
-        (1, d2[g].times_x()),
-        (Fraction(4 * g - 3, 2), blocks[g].ddx_n(1).laurent),
-        (Fraction(-1, 2), quad),
-        (Fraction(-1, 24), blocks[g - 1].ddx_n(4).laurent),
-    ])

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from mvlab import asym, cli, genus
 from mvlab.agn import METHODS, build_table, save_table
 from mvlab.cli import main, resolve_cache_dir
+from mvlab.exact import LaurentT
 from mvlab.verify import VerifyCase, VerifyResult
 
 from test_cold import TABLE, _digest, _sha, cold
@@ -205,13 +205,15 @@ def test_huge_precision_reports_one_line(capsys, argv):
 
 
 def test_support_error_reports_one_line(capsys, monkeypatch):
-    # Scale tu^[2] so that the interior coefficient of tu^[3] at T^-13
-    # cancels; the pass that builds genus 3 then fails the exact-support check.
+    # Scale tu^[2] by 1 - 209/81 = -128/81, so that the interior coefficient
+    # of tu^[3] at T^-13 cancels; the pass that builds genus 3 then fails
+    # the exact-support check.
     g = 3
     genus.tilde_u(g - 1)
     tower = genus._tower[:g]
     tu, *rest = tower[g - 1]
-    tower[g - 1] = (tu.scale(1 - Fraction(209, 81)), *rest)
+    lo, nums, den = tu.dense()
+    tower[g - 1] = (LaurentT.from_dense(lo, [-128 * c for c in nums], 81 * den), *rest)
     monkeypatch.setattr(genus, "_tower", tower)
     code, out, err = run(capsys, "genus", "--g", str(g))
     assert _one_error_line(code, out, err), (code, out, err)

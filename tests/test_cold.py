@@ -119,6 +119,10 @@ TABLE = [
     # series cell past the benchmark's genera.
     Cold("genus-g60", (_cli("genus --g 60"),), 0,
          "a85ff03dd0ba34c4fdb5a076431ead0118a79b046ebf6049f9dd58441a8d3fcb"),
+    Cold("genus-g12-json", (_cli("genus --g 12 --format json"),), 0,
+         "9e0cebceebf6ee141619e7c146c20d5f442660a7e344b77a47b519a8e3672772"),
+    Cold("genus-g12-csv", (_cli("genus --g 12 --format csv"),), 0,
+         "74c2c1ff209f9f2c4d06a7560920b7ec20a5696322325d4d2ff249947991171c"),
     Cold("sv-g30-n6", (_cli("sv --g 30 --n 6"),), 0,
          "766aa89fa9631d9e86ebce66a6a940389c656bd85326b3edb5a779cb2a0dda09"),
     Cold("agn-g36-n7-series", (_cli("agn --g 36 --n 7 --method series"),), 0,

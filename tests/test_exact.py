@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mvlab import exact
 from mvlab.exact import (
     GaussianRat,
-    GenusBlock,
     LaurentT,
     RowStore,
     bernoulli,
@@ -19,9 +18,10 @@ from mvlab.exact import (
     fold,
     laurent_dt,
     pochhammer,
-    weighted_sum,
 )
 from mvlab.volumes import PiScaled
+
+from laurent_ref import ZERO, GenusBlock, add, monomial, neg, scale, sub, times_x, weighted_sum
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=64
@@ -198,29 +198,27 @@ def test_convolve_into_matches_definition(start, a, b, extra):
 @given(laurents(), laurents(), laurents())
 @settings(max_examples=60)
 def test_laurent_ring_laws(p, q, r):
-    assert p + q == q + p
+    assert add(p, q) == add(q, p)
     assert p * q == q * p
-    assert (p + q) + r == p + (q + r)
+    assert add(add(p, q), r) == add(p, add(q, r))
     assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    zero = LaurentT.zero()
-    one = LaurentT.monomial(0)
-    assert p + zero == p
-    assert p * one == p
-    assert p - p == zero
+    assert p * add(q, r) == add(p * q, p * r)
+    assert add(p, ZERO) == p
+    assert p * monomial(0) == p
+    assert sub(p, p) == ZERO
 
 
 @given(laurents(), laurents())
 @settings(max_examples=60)
 def test_laurent_leibniz(p, q):
-    assert laurent_dt(p * q) == laurent_dt(p) * q + p * laurent_dt(q)
+    assert laurent_dt(p * q) == add(laurent_dt(p) * q, p * laurent_dt(q))
 
 
 def test_laurent_dt_monomial():
     # d/dx of T^e is -e T^(e-2)
-    p = LaurentT.monomial(5, Fraction(3))
-    assert laurent_dt(p) == LaurentT.monomial(3, Fraction(-15))
-    assert laurent_dt(LaurentT.monomial(0)) == LaurentT.zero()
+    p = monomial(5, Fraction(3))
+    assert laurent_dt(p) == monomial(3, Fraction(-15))
+    assert laurent_dt(monomial(0)) == ZERO
 
 
 def _dt_once(p):
@@ -294,8 +292,8 @@ def test_laurent_mul_edge_cases():
     prod = one_plus * one_minus
     assert prod == LaurentT({0: 1, 2: -1})
     assert prod.support() == [0, 2] and _no_stored_zero(prod)
-    assert one_plus * LaurentT.zero() == LaurentT.zero()
-    assert LaurentT.zero() * one_plus == LaurentT.zero()
+    assert one_plus * ZERO == ZERO
+    assert ZERO * one_plus == ZERO
     halves = LaurentT({-1: Fraction(1, 6), 3: Fraction(-5, 4)})
     thirds = LaurentT({2: Fraction(3, 10), 6: Fraction(2, 9)})
     assert halves * thirds == _mul_reference(halves, thirds)
@@ -305,7 +303,7 @@ def test_laurent_mul_edge_cases():
 
 def _span(*ps):
     # (lo, size) of the exponents the nonzero ps reach.
-    rows = [p.dense() for p in ps if not p.is_zero()]
+    rows = [p.dense() for p in ps if p != ZERO]
     if not rows:
         return 0, 0
     lo = min(r[0] for r in rows)
@@ -317,7 +315,7 @@ def _span(*ps):
 def test_fold_places_each_term_and_rejects_strays(p, q, r, v, w):
     # A square or a line starting anywhere in the window lands at its own
     # exponents; one reaching past either end of the window is an error.
-    want = (p * q).scale(v) + r.scale(w)
+    want = add(scale(p * q, v), scale(r, w))
     lo, size = _span(p * q, r)
     squares, lines = [(v, p.dense(), q.dense())], [(w, r.dense())]
     assert LaurentT.from_dense(lo, *fold(lo, size, squares, lines)) == want
@@ -339,8 +337,8 @@ def test_genus_block_ddx_n_is_repeated_ddx(log_coeff, lau, k):
     reference = block
     for _ in range(k):
         # d/dx log(1/T) = T^-2 feeds the Laurent part on the first step.
-        extra = LaurentT.monomial(-2, reference.log_coeff)
-        reference = GenusBlock(Fraction(0), _dt_once(reference.laurent) + extra)
+        extra = monomial(-2, reference.log_coeff)
+        reference = GenusBlock(Fraction(0), add(_dt_once(reference.laurent), extra))
     got = block.ddx_n(k)
     assert got == stepped == reference
     if k:
@@ -348,9 +346,17 @@ def test_genus_block_ddx_n_is_repeated_ddx(log_coeff, lau, k):
 
 
 def test_laurent_immutable():
-    p = LaurentT.monomial(1)
+    p = monomial(1)
     with pytest.raises(AttributeError):
         p._nums = ()
+
+
+def test_laurent_record_has_no_sums():
+    # LaurentT only stores: the sums are the tests' own, in laurent_ref.
+    p = monomial(1)
+    for op in (lambda: p + p, lambda: p - p, lambda: -p, lambda: 2 * p):
+        with pytest.raises(TypeError):
+            op()
 
 
 # A plain dict {exponent: nonzero Fraction} is the model of the dense
@@ -387,7 +393,7 @@ def _agrees(p, ref):
     assert items == sorted(ref.items())
     assert all(type(c) is Fraction for _, c in items)
     assert p.support() == sorted(ref)
-    assert p.is_zero() == (not ref)
+    assert (p == ZERO) == (not ref)
     for e in set(ref) | {min(ref, default=0) - 1, max(ref, default=0) + 1, 0}:
         assert p.coeff(e) == ref.get(e, 0)
     # Normal form: the value rebuilt from the model has the same fields.
@@ -401,16 +407,16 @@ def _check_ops(a, b, q, k):
     (ra, pa), (rb, pb) = a, b
     pa, pb = LaurentT(pa), LaurentT(pb)
     _agrees(pa, ra)
-    _agrees(pa + pb, _model_sum((1, ra), (1, rb)))
-    _agrees(pa - pb, _model_sum((1, ra), (-1, rb)))
-    _agrees(-pa, _model_sum((-1, ra)))
+    _agrees(add(pa, pb), _model_sum((1, ra), (1, rb)))
+    _agrees(sub(pa, pb), _model_sum((1, ra), (-1, rb)))
+    _agrees(neg(pa), _model_sum((-1, ra)))
     _agrees(pa * pb, _model_mul(ra, rb))
-    _agrees(pa.scale(q), _model_sum((q, ra)))
-    _agrees(pa.scale(0), {})
+    _agrees(scale(pa, q), _model_sum((q, ra)))
+    _agrees(scale(pa, 0), {})
     _agrees(weighted_sum([(q, pa), (3, pb), (0, pa)]), _model_sum((q, ra), (3, rb)))
     _agrees(laurent_dt(pa, k), _model_dt(ra, k))
     half = Fraction(1, 2)
-    _agrees(pa.times_x(), _model_sum((half, ra), (-half, _model_mul(ra, {2: 1}))))
+    _agrees(times_x(pa), _model_sum((half, ra), (-half, _model_mul(ra, {2: 1}))))
 
 
 @given(models(), models(), rationals, st.integers(min_value=0, max_value=8))
@@ -434,23 +440,22 @@ def test_dense_laurent_normal_form():
     p = LaurentT({-2: Fraction(1, 6), 3: Fraction(3, 4)})
     routes = [
         LaurentT({-2: Fraction(2, 12), 3: Fraction(6, 8), 9: 0, -5: 0}),
-        (p + p).scale(Fraction(1, 2)),
-        p.scale(6) - p.scale(5),
-        p * LaurentT.monomial(0),
-        p * LaurentT.monomial(-7, 4) * LaurentT.monomial(7, Fraction(1, 4)),
+        scale(add(p, p), Fraction(1, 2)),
+        sub(scale(p, 6), scale(p, 5)),
+        p * monomial(0),
+        p * monomial(-7, 4) * monomial(7, Fraction(1, 4)),
         weighted_sum([(Fraction(1, 3), p), (Fraction(2, 3), p)]),
-        (p + LaurentT.monomial(0, 5)) - LaurentT.monomial(0, 5),
+        sub(add(p, monomial(0, 5)), monomial(0, 5)),
     ]
     for r in routes:
         assert r == p and hash(r) == hash(p) and repr(r) == repr(p), r
     # Zero is canonical, however it is reached.
-    zero = LaurentT.zero()
     zeros = [
-        LaurentT(), LaurentT({5: 0}), p - p, p.scale(0), zero * p, p * zero,
-        laurent_dt(LaurentT.monomial(0), 3), weighted_sum([]), weighted_sum([(0, p)]),
+        LaurentT(), LaurentT({5: 0}), sub(p, p), scale(p, 0), ZERO * p, p * ZERO,
+        laurent_dt(monomial(0), 3), weighted_sum([]), weighted_sum([(0, p)]),
     ]
     for z in zeros:
-        assert z == zero and hash(z) == hash(zero) and repr(z) == "LaurentT(0)"
+        assert z == ZERO and hash(z) == hash(ZERO) and repr(z) == "LaurentT(0)"
         assert z.support() == [] and z.items() == []
 
 
