@@ -177,12 +177,20 @@ def _add_format(sub, default: str) -> None:
     sub.add_argument("--format", choices=("plain", "json", "csv"), default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line, `error: <message>`, and exit 2;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by the
     later ones in the process. Its defaults are immutable, so a parse
     leaves nothing behind for the next."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mvlab",
         description="Exact tables, volumes, area constants, and their asymptotics.",
     )

@@ -5,9 +5,9 @@ This module adds the pieces the rest of the package leans on: Bernoulli
 numbers, double factorials, growing rows of rationals with per-row and
 shared denominators and their Cauchy coefficients, the integer
 convolution, ``LaurentT``, the frozen record of a Laurent polynomial in
-T that the genus tower stores, the one sum kernel ``fold``, and
-``Frozen``, the base of the immutable records that must not be tuples.
-A comment marks each name that stays with no caller in the package.
+T that the genus tower stores, the one sum kernel ``fold``, the one
+D_T^k kernel ``dt_numerators``, and ``Frozen``, the base of the
+immutable records that must not be tuples. A comment marks each name that stays with no caller in the package.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "GaussianRat",
     "LaurentT",
     "fold",
+    "dt_numerators",
     "laurent_dt",
     "unlimited_digits",
 ]
@@ -408,26 +409,35 @@ def fold(lo: int, size: int, squares, lines) -> tuple[list[int], int]:
     return acc, den
 
 
-# No src caller: perfbench/tracer.py's LAYERS times it by name.
-def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
-    """Apply the derivation D_T = d/dx k times: D_T(T^e) = -e*T^(e-2).
+def dt_numerators(lo: int, nums: Sequence[int], k: int) -> tuple[int, list[int]]:
+    """The one D_T^k kernel, on the numerators of sum nums[i] T^(lo+i):
+    (lo', nums') with D_T^k(T^e) = (-1)^k e(e-2)...(e-2k+2) T^(e-2k), over
+    the same denominator. Leading zeros are dropped.
 
-    One pass: D_T^k(T^e) = (-1)^k * e(e-2)...(e-2k+2) * T^(e-2k), which
-    vanishes exactly for even 0 <= e <= 2k-2. The falling product f(e)
-    follows from f(e-2) by f(e) = f(e-2) * e / (e-2k), an exact division,
-    and is formed afresh only when that step has a zero. The numerators
-    keep their denominator.
+    One pass: the falling product f(e) follows from f(e-2) by
+    f(e) = f(e-2) * e / (e-2k), an exact division, and is formed afresh
+    only when that step has a zero. It vanishes exactly for even
+    0 <= e <= 2k-2, as T^0 of u^[0] = 1 - T does.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    sign = -1 if k % 2 else 1
-    falling: list[int] = []
-    for e in range(p._lo, p._lo + len(p._nums)):
-        f = falling[-2] if len(falling) > 1 else 0
-        if f and e - 2 * k:
-            f = f * e // (e - 2 * k)
+    out: list[int] = []
+    f1 = f2 = 0  # f(e-1), f(e-2)
+    for e, c in zip(range(lo, lo + len(nums)), nums):
+        if f2 and e != 2 * k:
+            f = f2 * e // (e - 2 * k)
         else:
             f = prod(range(e, e - 2 * k, -2))
-        falling.append(f)
-    nums = [sign * f * c for f, c in zip(falling, p._nums)]
-    return LaurentT.from_dense(p._lo - 2 * k, nums, p._den)
+        f2, f1 = f1, f
+        out.append(f * c)
+    if k % 2:
+        out = [-x for x in out]
+    start = next((i for i, c in enumerate(out) if c), len(out))
+    return lo - 2 * k + start, out[start:]
+
+
+# No src caller: perfbench/tracer.py's LAYERS times it by name, and the
+# tests' reference tower reads it. The towers call `dt_numerators`.
+def laurent_dt(p: LaurentT, k: int = 1) -> LaurentT:
+    """Apply the derivation D_T = d/dx k times: D_T(T^e) = -e*T^(e-2)."""
+    return LaurentT.from_dense(*dt_numerators(p._lo, p._nums, k), p._den)

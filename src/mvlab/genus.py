@@ -4,9 +4,11 @@ Two independent recursions produce the genus profiles u^[g] of the second
 x-derivative of the free energy: one goes through the auxiliary profiles
 tu^[g] and a Bernoulli-weighted change of variables, the other is a
 self-contained quadratic recursion, summed as a Cauchy square. Their
-agreement is a core consistency check. A third, Kazarian's quadratic row
-recursion, gives the rows c_{g,j} = C_{g,j}*(5g-5-j)*(5g-3-j) directly,
-at one linear term per genus, on ints over a known denominator R_g.
+agreement is a core consistency check. Each genus g takes D_T^(2(g-h)) of
+every lower profile h afresh, through `exact.dt_numerators`; no derivative
+is kept between genera. A third, Kazarian's quadratic row recursion, gives
+the rows c_{g,j} = C_{g,j}*(5g-5-j)*(5g-3-j) directly, at one linear term
+per genus, on ints over a known denominator R_g.
 
 The rows serve the numbers: `_numerators(g)` reads them, and from it the
 series cells a_{g,n} (a rising-factorial formula), the area constants, the
@@ -23,7 +25,7 @@ from functools import cache
 from math import factorial, isqrt, lcm, prod
 from typing import NamedTuple
 
-from .exact import LaurentT, bernoulli, convolve_into, double_factorial, fold
+from .exact import LaurentT, bernoulli, convolve_into, double_factorial, dt_numerators, fold
 
 __all__ = [
     "GenusCoeffs",
@@ -62,42 +64,11 @@ def _pairs(rows, g: int) -> list:
     ]
 
 
-def _dt2(lo: int, nums: list[int]) -> tuple[int, list[int]]:
-    """D_T^2 on the numerators of sum nums[i] T^(lo+i): the coefficient
-    of T^e becomes e(e-2) times itself, at T^(e-4). Leading zeros, from
-    T^0 and T^2, are dropped."""
-    nums = [e * (e - 2) * c for e, c in enumerate(nums, lo)]
-    start = next((i for i, c in enumerate(nums) if c), len(nums))
-    return lo - 4 + start, nums[start:]
-
-
-def _derivatives(cache: list, profiles: list[LaurentT]) -> list:
-    """D_T^(2(g-h)) profiles[h] for h < g = len(profiles), as
-    (lo, nums, den) triples.
-
-    cache[h] is (profile, k, lo, nums): the numerators of D_T^(2k) of
-    that profile over its denominator, from T^lo up. Genus g advances
-    each entry by one `_dt2`, one small-int factor per coefficient. An
-    entry made from another profile object, or already past order
-    2(g-h), starts again from the profile, so a cut-back or edited
-    tower is followed.
-    """
-    g = len(profiles)
-    out = []
-    for h, p in enumerate(profiles):
-        if h == len(cache):
-            cache.append(None)
-        ent = cache[h]
-        if ent is None or ent[0] is not p or ent[1] > g - h:
-            lo, nums, _ = p.dense()
-            ent = (p, 0, lo, nums)
-        _, k, lo, nums = ent
-        while k < g - h:
-            lo, nums = _dt2(lo, nums)
-            k += 1
-        cache[h] = (p, k, lo, nums)
-        out.append((lo, nums, p.dense()[2]))
-    return out
+def _derivatives(rows: list) -> list:
+    """D_T^(2(g-h)) rows[h] for h < g = len(rows), one `dt_numerators` call
+    each; rows and results are (lo, nums, den) triples."""
+    g = len(rows)
+    return [(*dt_numerators(lo, nums, 2 * (g - h)), den) for h, (lo, nums, den) in enumerate(rows)]
 
 
 # Per genus g: tu^[g], u^[g], and the weights w_g = |B_2g| / (2g)! and
@@ -106,8 +77,6 @@ def _derivatives(cache: list, profiles: list[LaurentT]) -> list:
 _tower: list[tuple[LaurentT, LaurentT, Fraction, Fraction]] = [
     (LaurentT({0: 1, 1: -1}),) * 2 + (Fraction(0),) * 2
 ]
-# The tu^[h] derivatives the tower reads, derived from _tower's entries.
-_tower_dts: list = []
 
 
 def tilde_u(g: int) -> LaurentT:
@@ -115,8 +84,8 @@ def tilde_u(g: int) -> LaurentT:
 
     Its support is exactly the g exponents -(5g-1)..-4g. The same pass
     forms u^[g]: its sum reads the same D_T^(2g1) tu^[g-g1], g1 = 1..g,
-    at the weights (1 - 2^(1-2g1)) |B_2g1| / (2g1)!, so each derivative
-    is taken once, by one D_T^2 step from the one genus g-1 read. Each
+    at the weights (1 - 2^(1-2g1)) |B_2g1| / (2g1)!, so genus g takes
+    each derivative once, in one pass of the D_T^k kernel. Each
     of tu^[g] and u^[g] is one `fold` over the lcm of its terms'
     denominators, normalized once. The weights of genus g are formed
     when genus g is built and kept in its tower entry.
@@ -127,12 +96,11 @@ def tilde_u(g: int) -> LaurentT:
         gg = len(_tower)
         w = abs(bernoulli(2 * gg)) / factorial(2 * gg)
         w_u = w * Fraction(4**gg - 2, 4**gg)
-        tus = [t[0] for t in _tower]
+        rows = [t[0].dense() for t in _tower]
         # D_T^(2g1) tu^[gg-g1] and its two weights, for g1 = gg..1.
-        dts = _derivatives(_tower_dts, tus)
+        dts = _derivatives(rows)
         ws = [w] + [t[2] for t in _tower[:0:-1]]
         u_ws = [w_u] + [t[3] for t in _tower[:0:-1]]
-        rows = [p.dense() for p in tus]
         lo = -(5 * gg - 2)  # tu^[gg] * T: T^lo..T^(lo+gg-1)
         acc, den = fold(lo, gg, _pairs(rows, gg), list(zip(ws, dts)))
         tu = LaurentT.from_dense(lo - 1, acc, den)
@@ -153,7 +121,6 @@ def u_from_tilde(g: int) -> LaurentT:
 _u_direct: list[LaurentT] = [LaurentT({0: 1, 1: -1})]
 # W_s = sum over h + j = s of v(j) * D_T^(2j) u^[h], v(j) = (-1/4)^j/(2j+1)!.
 _u_direct_W: list[LaurentT] = [_u_direct[0]]
-_u_direct_dts: list = []
 
 
 def u_direct(g: int) -> LaurentT:
@@ -167,14 +134,14 @@ def u_direct(g: int) -> LaurentT:
     W_s = sum_{h+j=s} v(j) * D_T^(2j) u^[h] is kept once u^[s] is known:
     about g/2 + 1 products per genus. The linear sum reads the same D_T^(2j)
     u^[g-j], at weight (-1/4)^j / (2j)!. The derivatives and sums run on
-    the same kernel as the tu tower.
+    the same kernels as the tu tower.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     while len(_u_direct) <= g:
         gg = len(_u_direct)
         # D_T^(2j) u^[gg-j] for j = gg..1.
-        dts = _derivatives(_u_direct_dts, _u_direct)
+        dts = _derivatives([p.dense() for p in _u_direct])
         js = range(gg, 0, -1)
         lo = -(5 * gg - 2)
         v_top = LaurentT.from_dense(lo, *fold(lo, gg, (), [

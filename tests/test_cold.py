@@ -149,6 +149,13 @@ TABLE = [
          2, _sha(b""), stderr="error: "),
     Cold("volume-numeric-above-ceiling", (_cli("volume --g 1 --n 1 --numeric 100000000"),),
          2, _sha(b""), stderr="error: precision above 131072 bits"),
+    # Usage errors, as argparse finds them: one line, not the usage block.
+    Cold("usage-bad-int", (_cli("agn --g x --n 1"),), 2, _sha(b""),
+         stderr="error: argument --g: invalid int value: 'x'"),
+    Cold("usage-missing-option", (_cli("agn --n 1"),), 2, _sha(b""),
+         stderr="error: the following arguments are required: --g"),
+    Cold("usage-missing-command", ((),), 2, _sha(b""),
+         stderr="error: the following arguments are required: command"),
     # `cache --clear` removes the table and keeps notes.txt: dir,removed / {tmp},1.
     Cold("cache-clear-only-tables", (_cli("cache --clear --cache-dir {tmp} --format csv"),), 0,
          "2a5a642d542907bb5d4a6384faf40ce1f2d281204a8fbf6d7032d4784ab8446d",

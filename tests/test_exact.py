@@ -278,6 +278,22 @@ def test_laurent_dt_power_drops_terms_mid_way():
         laurent_dt(p, -1)
 
 
+def test_dt_kernel_matches_single_steps():
+    # The towers' orders: D_T^k for even k up to 72 on exponents from as
+    # low as -180 up to T^1, against k defining single steps on a dict.
+    # A profile starting at T^0, as u^[0] = 1 - T does, loses its
+    # leading term; interior zeros, of the input or of T^0, are kept.
+    for lo in (-180, -7, 0):
+        nums = [(e * e % 19 - 6) * (-1) ** (e % 2) for e in range(lo, 2)]
+        model = {e: c for e, c in enumerate(nums, lo) if c}
+        for k in range(73):
+            if k % 2 == 0:
+                got_lo, got = exact.dt_numerators(lo, nums, k)
+                assert got[0] and got_lo == min(model), (lo, k)
+                assert got == [model.get(e, 0) for e in range(got_lo, max(model) + 1)], (lo, k)
+            model = {e - 2: -e * c for e, c in model.items() if e}
+
+
 @given(laurents(), laurents())
 @settings(max_examples=80)
 def test_laurent_mul_matches_reference(p, q):

@@ -113,28 +113,34 @@ def test_dense_rows_match_term_by_term_recursion():
         assert all(type(c) is Fraction for c in kazarian_c(g)), g
 
 
-def test_tower_takes_each_derivative_once(monkeypatch):
-    # One pass per genus feeds both the tu^[g] and the u^[g] sum, and
-    # advances the derivative of each lower profile by one D_T^2: to
-    # genus 12, tu^[h] takes 12 - h steps, 78 in all, and a second
-    # sweep takes none.
-    monkeypatch.setattr(genus, "_tower", genus._tower[:1])
-    monkeypatch.setattr(genus, "_tower_dts", [])
+def _counted_kernel(monkeypatch):
+    # Record the order of each D_T^k kernel call the towers make.
     calls = []
-    dt2 = genus._dt2
+    kernel = genus.dt_numerators
 
-    def counted(lo, nums):
-        calls.append(lo)
-        return dt2(lo, nums)
+    def counted(lo, nums, k):
+        calls.append(k)
+        return kernel(lo, nums, k)
 
-    monkeypatch.setattr(genus, "_dt2", counted)
-    for h in range(13):
-        u_from_tilde(h)
-    assert len(calls) == 12 * 13 // 2
-    assert [ent[1] for ent in genus._tower_dts] == [12 - h for h in range(12)]
-    for h in range(13):
-        tilde_u(h)
-    assert len(calls) == 78
+    monkeypatch.setattr(genus, "dt_numerators", counted)
+    return calls
+
+
+def test_tower_takes_each_derivative_once(monkeypatch):
+    # Genus g takes D_T^(2(g-h)) of each lower profile h in one kernel
+    # call, so to genus 12 each tower makes 12 * 13 / 2 = 78 calls, and
+    # a second sweep, which builds nothing, makes none.
+    for store, build in (("_tower", u_from_tilde), ("_u_direct", u_direct)):
+        monkeypatch.setattr(genus, store, getattr(genus, store)[:1])
+        monkeypatch.setattr(genus, "_u_direct_W", genus._u_direct_W[:1])
+        calls = _counted_kernel(monkeypatch)
+        for h in range(13):
+            build(h)
+        assert Counter(calls) == {2 * k: 13 - k for k in range(1, 13)}, store
+        assert len(calls) == 78, store
+        for h in range(13):
+            build(h)
+        assert len(calls) == 78, store
 
 
 # Reference recursions: the LaurentT tower the int kernel replaced, one
@@ -230,25 +236,19 @@ def test_series_closed_forms_low_genus():
 def test_series_rows_are_built_once(monkeypatch):
     # Every series quantity of genus g reads the one stored row of genus
     # g, built by one `kazarian_c` call, and `coeffs_C` and `hg_block`
-    # read the one tower entry of genus g: up to genus 9 the tower
-    # differentiates each tu^[h] once per genus h+1..9, and takes no
-    # derivative after that.
+    # read the one tower entry of genus g: up to genus 9 the tower makes
+    # one kernel call per lower profile per genus, 45 in all, and none
+    # after that.
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
-    monkeypatch.setattr(genus, "_tower_dts", [])
     monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     monkeypatch.setattr(genus, "_series", {})
-    calls, rows = [], []
-    dt2, kaz = genus._dt2, genus.kazarian_c
-
-    def counted(lo, nums):
-        calls.append(lo)
-        return dt2(lo, nums)
+    calls, rows = _counted_kernel(monkeypatch), []
+    kaz = genus.kazarian_c
 
     def counted_rows(g):
         rows.append(g)
         return kaz(g)
 
-    monkeypatch.setattr(genus, "_dt2", counted)
     monkeypatch.setattr(genus, "kazarian_c", counted_rows)
     for g in (2, 5, 9):
         for n in range(31):
@@ -259,7 +259,6 @@ def test_series_rows_are_built_once(monkeypatch):
     assert len(genus._kaz_rows) == 10
     assert len(genus._tower) == 10
     assert len(calls) == 9 * 10 // 2
-    assert [ent[1] for ent in genus._tower_dts] == [9 - h for h in range(9)]
 
 
 def test_series_cells_match_rising_product_sum():
@@ -313,15 +312,16 @@ def test_numbers_read_no_profile(monkeypatch):
 
 def test_profile_data_reads_no_row(monkeypatch):
     # The other way: coeffs_C and the ODE check run with the row
-    # recursion refused, from an empty tower.
+    # recursion refused, from a tower cut back to genus 0. The cut is
+    # the whole reset: no derivative outlives the profiles.
     want = coeffs_C(12)
     monkeypatch.setattr(genus, "kazarian_c", _refuse("kazarian_c"))
     monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
-    monkeypatch.setattr(genus, "_tower_dts", [])
     assert coeffs_C(12) == want
     assert genus_ode_residual(8) == ZERO
     assert len(genus._kaz_rows) == 1
+    assert len(genus._tower) == 13
 
 
 def _zero_b(which):

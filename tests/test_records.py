@@ -4,7 +4,8 @@ Records are NamedTuples, except PiScaled, GaussianRat and AgnTable:
 as tuples those would concatenate under +, repeat under int * and
 report a tuple length. mpmath, dataclasses and inspect stay unloaded
 until a command makes a float, and the source imports nothing but the
-standard library and mpmath.
+standard library and mpmath. Every source file parses under the grammar
+of Python 3.10, the oldest version the package declares.
 """
 
 import ast
@@ -108,6 +109,16 @@ def test_src_imports_only_the_standard_library_and_mpmath():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "mpmath", (path.name, name)
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: the package, its
+    # tests and the benchmark scripts (read, not imported) use no newer syntax.
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for d in ("src/mvlab", "tests", "perfbench") for p in sorted(root.glob(f"{d}/*.py"))]
+    assert {p.parent.name for p in paths} == {"mvlab", "tests", "perfbench"}
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def _records():
