@@ -163,8 +163,9 @@ class FunceqReport(NamedTuple):
 def _residuals(nx: int, gmax: int, table) -> dict[str, dict[tuple[int, int], Fraction]]:
     """The three residual series for the window (nx, gmax), each as a
     dict {(x_power, eps_power): Fraction} of its nonzero coefficients,
-    headroom above the window included."""
-    nbuild = nx + 2 * gmax + 5
+    headroom above the window included. Genus g enters at eps^(2g-2) and
+    up, where top < 0 past 2*nx + 6: no genus above nx + 4 is built."""
+    gbuild = min(gmax, nx + 4)
 
     # Keep headroom above the window: up to four x-derivatives are
     # still pending when terms pass through here, and eps^2 prefactors
@@ -174,7 +175,7 @@ def _residuals(nx: int, gmax: int, table) -> dict[str, dict[tuple[int, int], Fra
     def top(b: int) -> int:
         return min(nx + 4, (2 * nx + 6 - b) // 2) if b <= 2 * gmax + 1 else -1
 
-    h, s, d = _expand(table, gmax, nbuild, top)
+    h, s, d = _expand(table, gbuild, nx + 2 * gbuild + 5, top)
 
     dxd = _dx(d)
     dxd_sq = _mul(dxd, dxd, top)

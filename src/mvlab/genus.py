@@ -5,10 +5,12 @@ x-derivative of the free energy: one goes through the auxiliary profiles
 tu^[g] and a Bernoulli-weighted change of variables, the other is a
 self-contained quadratic recursion, summed as a Cauchy square. Their
 agreement is a core consistency check. Each genus g takes D_T^(2(g-h)) of
-every lower profile h afresh, through `exact.dt_numerators`; no derivative
-is kept between genera. A third, Kazarian's quadratic row recursion, gives
-the rows c_{g,j} = C_{g,j}*(5g-5-j)*(5g-3-j) directly, at one linear term
-per genus, on ints over a known denominator R_g.
+every lower profile h afresh, through `exact.dt_numerators`. A third,
+Kazarian's quadratic row recursion, gives the rows c_{g,j} =
+C_{g,j}*(5g-5-j)*(5g-3-j) directly, on ints over a known denominator R_g.
+Each recursion has one store with one record per genus: `_tower` (tu^[g],
+u^[g], two weights), `_u_direct` (u^[g], W_g) and `_kaz_rows` (X_g, R_g,
+the series cells), so what is read off a record is cut with it.
 
 The rows serve the numbers: `_numerators(g)` reads them, and from it the
 series cells a_{g,n} (a rising-factorial formula), the area constants, the
@@ -21,7 +23,6 @@ tests check the tower's blocks H_g against the genus ODE in x as well.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import factorial, isqrt, lcm, prod
 from typing import NamedTuple
 
@@ -118,9 +119,8 @@ def u_from_tilde(g: int) -> LaurentT:
     return _tower[g][1]
 
 
-_u_direct: list[LaurentT] = [LaurentT({0: 1, 1: -1})]
-# W_s = sum over h + j = s of v(j) * D_T^(2j) u^[h], v(j) = (-1/4)^j/(2j+1)!.
-_u_direct_W: list[LaurentT] = [_u_direct[0]]
+# Per genus s: u^[s] and W_s = sum_{h+j=s} v(j) D_T^(2j) u^[h], v(j) = (-1/4)^j/(2j+1)!.
+_u_direct: list[tuple[LaurentT, LaurentT]] = [(LaurentT({0: 1, 1: -1}),) * 2]
 
 
 def u_direct(g: int) -> LaurentT:
@@ -131,32 +131,31 @@ def u_direct(g: int) -> LaurentT:
     v(j) = (-1/4)^j / (2j+1)!, on D_T^(2j1) u^[g1] * D_T^(2j2) u^[g2].
     The weight factors, so the sum is sum_{s1+s2=g} V_s1 * V_s2 with
     V_s = W_s for s < g and V_g = W_g - u^[g], where
-    W_s = sum_{h+j=s} v(j) * D_T^(2j) u^[h] is kept once u^[s] is known:
-    about g/2 + 1 products per genus. The linear sum reads the same D_T^(2j)
-    u^[g-j], at weight (-1/4)^j / (2j)!. The derivatives and sums run on
-    the same kernels as the tu tower.
+    W_s = sum_{h+j=s} v(j) * D_T^(2j) u^[h] is kept beside u^[s] in
+    `_u_direct`: about g/2 + 1 products per genus. The linear sum reads
+    the same D_T^(2j) u^[g-j], at weight (-1/4)^j / (2j)!. The
+    derivatives and sums run on the same kernels as the tu tower.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
     while len(_u_direct) <= g:
         gg = len(_u_direct)
         # D_T^(2j) u^[gg-j] for j = gg..1.
-        dts = _derivatives([p.dense() for p in _u_direct])
+        dts = _derivatives([u.dense() for u, _ in _u_direct])
         js = range(gg, 0, -1)
         lo = -(5 * gg - 2)
         v_top = LaurentT.from_dense(lo, *fold(lo, gg, (), [
             (Fraction((-1) ** j, 4**j * factorial(2 * j + 1)), d) for j, d in zip(js, dts)
         ])).dense()
         # (1/2) * quad: V_0 * V_gg, then the inner pairs of W.
-        ws = [p.dense() for p in _u_direct_W]
+        ws = [W.dense() for _, W in _u_direct]
         squares = [(1, ws[0], v_top)] + _pairs(ws, gg)
         lines = [(Fraction((-1) ** (j + 1), 4**j * factorial(2 * j)), d) for j, d in zip(js, dts)]
         res = LaurentT.from_dense(lo - 1, *fold(lo, gg + 1, squares, lines))
         _check_support(res, gg, "u", width=gg + 1)
-        _u_direct.append(res)
         W = fold(lo - 1, gg + 1, (), [(1, v_top), (1, res.dense())])
-        _u_direct_W.append(LaurentT.from_dense(lo - 1, *W))
-    return _u_direct[g]
+        _u_direct.append((res, LaurentT.from_dense(lo - 1, *W)))
+    return _u_direct[g][0]
 
 
 class GenusCoeffs(NamedTuple):
@@ -165,7 +164,7 @@ class GenusCoeffs(NamedTuple):
 
 def _numerators(g: int) -> tuple[list[int], int]:
     """(X, R) for g >= 2, unreduced: X_j / R = c_{g,j} = C_{g,j} m(m+2),
-    m = 5g-5-j, j = 0..g, the stored row of the row recursion, R = R_g.
+    m = 5g-5-j, j = 0..g, the first two fields of the row record g, R = R_g.
 
     `agn_from_series` and `_coeff_C` read their genus data only from here;
     `coeffs_C` reads the same numbers off the tilde tower. A missing row is
@@ -173,7 +172,7 @@ def _numerators(g: int) -> tuple[list[int], int]:
     """
     if len(_kaz_rows) <= g:
         kazarian_c(g)
-    return _kaz_rows[g], _row_den(g)
+    return _kaz_rows[g][:2]
 
 
 def _coeff_C(g: int, j: int) -> Fraction:
@@ -200,7 +199,6 @@ def coeffs_C(g: int) -> GenusCoeffs:
     return GenusCoeffs(tuple(Fraction(U, m * (m + 2) * den) for U, m in zip(nums, ms)))
 
 
-@cache
 def _row_den(g: int) -> int:
     """R_g = prod over primes p, (p-1)^2 <= 4g, of p^floor(4g/(p-1)^2): R_g c_g is
     integral (measured, not proved; checked on every row built). The floors
@@ -209,8 +207,9 @@ def _row_den(g: int) -> int:
     return prod(p ** (4 * g // (p - 1) ** 2) for p in ps)
 
 
-# Row g as the ints R_g * c_g; the seed, row 0, is the T^1 coefficient of u^[0] = 1 - T.
-_kaz_rows: list[list[int]] = [[-1]]
+# Record g: the row as the ints X_g = R_g * c_g, R_g, and the cells n -> a_{g,n}
+# read off it. The seed, row 0, is the T^1 coefficient of u^[0] = 1 - T.
+_kaz_rows: list[tuple[list[int], int, dict[int, Fraction]]] = [([-1], 1, {})]
 
 
 def _exact(n: int, d: int, g: int, what: str) -> int:
@@ -242,30 +241,29 @@ def kazarian_c(g: int) -> tuple[Fraction, ...]:
         raise ValueError("kazarian_c needs g >= 1")
     while len(_kaz_rows) <= g:
         gg = len(_kaz_rows)
-        R = _row_den(gg)
-        s = _exact(R, 6 * _row_den(gg - 1), gg, f"R_{gg}/(6*R_{gg - 1})")
-        acc = [s * (5 * gg - 6 - j) * (5 * gg - 4 - j) * x for j, x in enumerate(_kaz_rows[-1])]
+        R, (prev, R_prev, _) = _row_den(gg), _kaz_rows[-1]
+        s = _exact(R, 6 * R_prev, gg, f"R_{gg}/(6*R_{gg - 1})")
+        acc = [s * (5 * gg - 6 - j) * (5 * gg - 4 - j) * x for j, x in enumerate(prev)]
         acc.append(0)
         for g1 in range(1, gg // 2 + 1):
-            s = _exact(R, _row_den(g1) * _row_den(gg - g1), gg, f"R_{gg}/(R_{g1}*R_{gg - g1})")
+            (X1, R1, _), (X2, R2, _) = _kaz_rows[g1], _kaz_rows[gg - g1]
+            s = _exact(R, R1 * R2, gg, f"R_{gg}/(R_{g1}*R_{gg - g1})")
             s *= 1 if 2 * g1 == gg else 2
-            convolve_into(acc, [s * x for x in _kaz_rows[g1]], _kaz_rows[gg - g1])
+            convolve_into(acc, [s * x for x in X1], X2)
         row, y, q = [], 0, 1
         for j, b in enumerate(acc):
             q *= 5 * gg - 2 - j
             y = (gg + 1 - j) * y + q * b
             row.append(_exact(y, 2 * q, gg, f"R_{gg} * c[{gg},{j}]"))
         _check_row(row, gg)
-        _kaz_rows.append(row)
-    return tuple(Fraction(x, _row_den(g)) for x in _kaz_rows[g])
+        _kaz_rows.append((row, R, {}))
+    X, R, _ = _kaz_rows[g]
+    return tuple(Fraction(x, R) for x in X)
 
 
 def _is_structural_zero(g: int, n: int) -> bool:
     """True when (g, n) has no stratum; a_{g,n} is 0 there by convention."""
     return g < 0 or n < 0 or 2 * g - 2 + n <= 0
-
-
-_series: dict[tuple[int, int], Fraction] = {}
 
 
 def agn_from_series(g: int, n: int) -> Fraction:
@@ -280,8 +278,8 @@ def agn_from_series(g: int, n: int) -> Fraction:
     m(m+2): m(m+2) at n = 0, m+2 at n = 1 and 1 for n >= 2. At n >= 2
     the cell is one int dot product over R; at n < 2 the terms are
     summed as ints over R L, L = lcm(t_j). One Fraction is reduced at
-    the end. X and R = R_g come from `_numerators(g)`, the stored row of
-    the row recursion. The genus >= 2 cells are memoized.
+    the end. X and R = R_g come from `_numerators(g)`; the genus >= 2
+    cells are memoized in the same row record, and go with it.
     """
     if _is_structural_zero(g, n):
         return Fraction(0)
@@ -289,8 +287,9 @@ def agn_from_series(g: int, n: int) -> Fraction:
         return Fraction(double_factorial(2 * n - 7)) if n >= 3 else Fraction(0)
     if g == 1:
         return Fraction(2 ** (n - 1) * factorial(n - 1) + double_factorial(2 * n - 3), 24)
-    if (g, n) not in _series:
-        nums, den = _numerators(g)
+    nums, den = _numerators(g)
+    cells = _kaz_rows[g][2]
+    if n not in cells:
         ms = range(5 * g - 5, 4 * g - 6, -1)
         if n >= 2:
             L = 1
@@ -299,6 +298,6 @@ def agn_from_series(g: int, n: int) -> Fraction:
             ts = [prod(range(m + 2 * n, m + 4, 2)) for m in ms]
             L = lcm(*ts)
             total = sum(U * (L // t) for U, t in zip(nums, ts))
-        _series[(g, n)] = Fraction(total, den * L)
-    return _series[(g, n)]
+        cells[n] = Fraction(total, den * L)
+    return cells[n]
 

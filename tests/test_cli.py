@@ -230,7 +230,6 @@ def test_row_support_error_reports_one_line(capsys, monkeypatch):
         acc[:] = [0] * len(acc)
 
     monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
-    monkeypatch.setattr(genus, "_series", {})
     monkeypatch.setattr(genus, "convolve_into", zero_sum)
     code, out, err = run(capsys, "agn", "--g", "4", "--n", "3", "--method", "series")
     assert _one_error_line(code, out, err), (code, out, err)
@@ -241,7 +240,6 @@ def test_lowered_row_bound_reports_one_line(capsys, monkeypatch):
     # R_g with the exponent of 3 lowered by 1 misses row 1's denominator 24.
     row_den = genus._row_den
     monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
-    monkeypatch.setattr(genus, "_series", {})
     monkeypatch.setattr(genus, "_row_den", lambda g: row_den(g) // 3 if g else 1)
     code, out, err = run(capsys, "agn", "--g", "10", "--n", "0", "--method", "series")
     assert _one_error_line(code, out, err), (code, out, err)

@@ -82,6 +82,10 @@ TABLE = [
          "09430693c48803c4f0d9fac6605c714b3ed0116249f20d422539b8867b9b5760"),
     Cold("verify-funceq-12", (_cli("verify --suite funceq --gmax 12"),), 0,
          "389bbf2d1d9604ca446da095a375d1993e0690844703214da7f21279332470e3"),
+    # The funceq build reads no genus above its eps window (nx + 4 = 12),
+    # so a larger gmax prints the same bytes as 12 does.
+    Cold("verify-funceq-40", (_cli("verify --suite funceq --gmax 40"),), 0,
+         "389bbf2d1d9604ca446da095a375d1993e0690844703214da7f21279332470e3"),
     Cold("verify-paths", (_cli("verify --suite paths"),), 0,
          "3635dcb9deec3edddad0b0eec8921b291c3c880116dade1e5c559d6911cc16e3"),
     Cold("verify-closed", (_cli("verify --suite closed"),), 0,

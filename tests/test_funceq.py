@@ -63,6 +63,24 @@ def test_checked_counts_whole_window():
     assert r.checked == 3 * lattice
 
 
+def test_build_reads_no_genus_above_the_window(monkeypatch):
+    # A cell of genus g enters at eps^(2g-2) and above, and the headroom
+    # ends at eps^(2*nx + 6), so the (8, 40) build reads genera <= 12 only.
+    genera = set()
+
+    def recording(g, n):
+        genera.add(g)
+        return a_direct(g, n)
+
+    monkeypatch.setattr(funceq, "a_direct", recording)
+    verify_functional_eqs(8, 40)
+    assert max(genera) == 12
+
+
+def test_window_past_its_reach_reports_as_at_its_reach():
+    assert verify_functional_eqs(8, 40)._replace(gmax=12) == verify_functional_eqs(8, 12)
+
+
 def _as_dict(p):
     """A row series (rows, den) as {(x_power, eps_power): Fraction}, zeros dropped."""
     rows, den = p

@@ -132,7 +132,6 @@ def test_tower_takes_each_derivative_once(monkeypatch):
     # a second sweep, which builds nothing, makes none.
     for store, build in (("_tower", u_from_tilde), ("_u_direct", u_direct)):
         monkeypatch.setattr(genus, store, getattr(genus, store)[:1])
-        monkeypatch.setattr(genus, "_u_direct_W", genus._u_direct_W[:1])
         calls = _counted_kernel(monkeypatch)
         for h in range(13):
             build(h)
@@ -212,12 +211,13 @@ def test_direct_kernel_matches_laurent_reference():
 
 
 def test_row_kernel_matches_fraction_reference():
-    # The stored row is the plain ints R_g * c_g.
+    # The stored row is the plain ints R_g * c_g, kept with R_g.
     for g, row in _reference_kazarian(60).items():
         want = tuple(row.coeff(j) for j in range(g + 1))
         assert kazarian_c(g) == want, g
-        assert genus._kaz_rows[g] == [genus._row_den(g) * c for c in want], g
-        assert all(type(x) is int for x in genus._kaz_rows[g]), g
+        X, R, _ = genus._kaz_rows[g]
+        assert (X, R) == ([genus._row_den(g) * c for c in want], genus._row_den(g)), g
+        assert all(type(x) is int for x in X), g
 
 
 def test_series_closed_forms_low_genus():
@@ -238,10 +238,9 @@ def test_series_rows_are_built_once(monkeypatch):
     # g, built by one `kazarian_c` call, and `coeffs_C` and `hg_block`
     # read the one tower entry of genus g: up to genus 9 the tower makes
     # one kernel call per lower profile per genus, 45 in all, and none
-    # after that.
+    # after that. Cutting the rows cuts the cells read off them.
     monkeypatch.setattr(genus, "_tower", genus._tower[:1])
     monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
-    monkeypatch.setattr(genus, "_series", {})
     calls, rows = _counted_kernel(monkeypatch), []
     kaz = genus.kazarian_c
 
@@ -275,15 +274,27 @@ def test_series_cells_match_rising_product_sum():
 
 
 def test_series_cells_read_only_the_rows(monkeypatch):
-    # Every n, n < 2 included, reads the row numerators, not the C row.
+    # Every n, n < 2 included, reads the row numerators, not the C row;
+    # the cut rows take their cells with them.
     want = {(g, n): agn_from_series(g, n) for g in range(2, 13) for n in range(4)}
 
     def no_rows(g):
         raise AssertionError(f"coeffs_C({g}) called")
 
     monkeypatch.setattr(genus, "coeffs_C", no_rows)
-    monkeypatch.setattr(genus, "_series", {})
+    monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     assert {cell: agn_from_series(*cell) for cell in want} == want
+
+
+def test_cells_follow_their_row(monkeypatch):
+    # The cells of genus 5 live in row record 5, so a record replaced by
+    # (2 X_5, R_5, {}) serves the doubled cell, not a stale one.
+    want = agn_from_series(5, 3)
+    rows = genus._kaz_rows[:]
+    X, R, _ = rows[5]
+    rows[5] = ([2 * x for x in X], R, {})
+    monkeypatch.setattr(genus, "_kaz_rows", rows)
+    assert agn_from_series(5, 3) == 2 * want
 
 
 def _refuse(name):
@@ -304,7 +315,6 @@ def test_numbers_read_no_profile(monkeypatch):
     for name in ("tilde_u", "u_from_tilde", "u_direct"):
         monkeypatch.setattr(genus, name, _refuse(name))
     monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
-    monkeypatch.setattr(genus, "_series", {})
     monkeypatch.setattr(volumes, "_sv_rows", RowStore())
     assert numbers() == want
     assert len(genus._kaz_rows) == 31
@@ -353,7 +363,6 @@ def test_defective_row_is_refused_when_stored(monkeypatch, which):
     # (first-entry-zero) or by the support check (all-zero); a read never
     # sees it.
     monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
-    monkeypatch.setattr(genus, "_series", {})
     monkeypatch.setattr(genus, "convolve_into", _zero_b(which))
     with pytest.raises(SupportError, match=r"row c\[2\]"):
         agn_from_series(5, 3)
@@ -371,15 +380,16 @@ def _lowered(p):
 def test_lowered_bound_fails_at_the_first_genus_it_misses(monkeypatch, p, g, what):
     # R_g holds p exactly to the power the denominator of row g needs, at
     # the first genus whose R_g has p; one factor less is an inexact
-    # division there, and the rows below it are stored unchanged.
+    # division there, and the rows below it are stored unchanged, each
+    # with its R_g.
     kazarian_c(12)
-    want = genus._kaz_rows[:g]
+    want = [(X, R) for X, R, _ in genus._kaz_rows[:g]]
     monkeypatch.setattr(genus, "_kaz_rows", genus._kaz_rows[:1])
     monkeypatch.setattr(genus, "_row_den", _lowered(p))
     text = f"row c[{g}]: {what} is not an int; the bound R_{g} misses a factor"
     with pytest.raises(SupportError, match=f"^{re.escape(text)}$"):
         kazarian_c(12)
-    assert genus._kaz_rows == want
+    assert [(X, R) for X, R, _ in genus._kaz_rows] == want
 
 
 @pytest.mark.parametrize("pair,g", [(lambda g1, g2: g1 == g2, 2),
