@@ -13,6 +13,7 @@ the checked window.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm, perm
 from typing import NamedTuple
 
@@ -69,16 +70,22 @@ def _mul(p: BiSeries, q: BiSeries, top) -> BiSeries:
     """p * q, keeping x^a eps^b only for a <= top(b).
 
     Each pair of eps-rows is an int convolution truncated to the kept
-    length top(b) + 1, which every row at eps^b shares.
+    length top(b) + 1, which every row at eps^b shares. A square (p is
+    q) takes each unordered pair of rows once, the pair off the diagonal
+    at weight 2.
     """
     (prows, pden), (qrows, qden) = p, q
+    if p is q:
+        twice = {b: [2 * v for v in row] for b, row in prows.items()}
+        pairs = [(b1 + b2, r1, r1 if b1 == b2 else twice[b2])
+                 for b1, r1 in prows.items() for b2 in prows if b1 <= b2]
+    else:
+        pairs = [(b1 + b2, r1, r2) for b1, r1 in prows.items() for b2, r2 in qrows.items()]
     out: Rows = {}
-    for b1, r1 in prows.items():
-        for b2, r2 in qrows.items():
-            b = b1 + b2
-            m = top(b) + 1
-            if m > 0 and r1 and r2:
-                convolve_into(_row(out, b, min(len(r1) + len(r2) - 1, m)), r1, r2)
+    for b, r1, r2 in pairs:
+        m = top(b) + 1
+        if m > 0 and r1 and r2:
+            convolve_into(_row(out, b, min(len(r1) + len(r2) - 1, m)), r1, r2)
     return out, pden * qden
 
 
@@ -104,35 +111,41 @@ def _expand(table, gmax: int, nbuild: int, top) -> tuple[BiSeries, BiSeries, BiS
     L = lcm of den(a_{g,n}) * n! * 2^n. With q = num(a_{g,n}) * L /
     (den(a_{g,n}) * n! * 2^n), the k-th term of a_{g,n} x^n/n! has the
     int numerator q * comb(n, k) * 2^(n-k) * (+-2).
+
+    The table is read at (g, n), g <= gmax and n <= nbuild, only when
+    one of its terms is kept: n - k <= top(2g - 2 + k) for some k <= n.
     """
-    cells = []
-    for g in range(gmax + 1):
-        for n in range(nbuild + 1):
-            agn = Fraction(table(g, n))
-            if agn:
-                cells.append((g, n, agn))
-    den = lcm(*(agn.denominator * factorial(n) << n for _, n, agn in cells))
     # tops[b + 2] = top(b) for every eps power b = 2g - 2 + k the terms reach
     tops = [top(b) for b in range(-2, 2 * gmax + nbuild - 1)]
-    h: Rows = {}
-    s: Rows = {}
-    d: Rows = {}
+    cells = []
+    for g in range(gmax + 1):
+        # Some term k <= n is kept exactly when n <= max(k + top(2g - 2 + k) for k <= n).
+        reach = accumulate((k + t for k, t in enumerate(tops[2 * g:2 * g + nbuild + 1])), max)
+        for n, r in enumerate(reach):
+            if n <= r:
+                agn = Fraction(table(g, n))
+                if agn:
+                    cells.append((g, n, agn))
+    den = lcm(*(agn.denominator * factorial(n) << n for _, n, agn in cells))
+    # Every kept x^a eps^b has a <= top(b), so each row is made full length
+    # once; rows no term reaches are dropped at the end.
+    h, s, d = ({b: [0] * (t + 1) for b, t in enumerate(tops, -2) if t >= 0} for _ in range(3))
     for g, n, agn in cells:
         q = agn.numerator * (den // (agn.denominator * factorial(n) << n))
-        for k in range(n + 1):
-            b = 2 * g - 2 + k
-            if n - k > tops[b + 2]:
+        for k, t in enumerate(tops[2 * g:2 * g + n + 1]):
+            if n - k > t:
                 continue
-            t = q * comb(n, k) << (n - k)
+            b = 2 * g - 2 + k
+            term = q * comb(n, k) << (n - k)
             if k == 0:
-                _row(h, b, n + 1)[n] += t
-            _row(d if k % 2 else s, b, n - k + 1)[n - k] += t * (2 if k % 4 < 2 else -2)
+                h[b][n] += term
+            (d if k % 2 else s)[b][n - k] += term * (2 if k % 4 < 2 else -2)
     # A kept term needs only den(a_{g,n}) * k! * (n-k)! * 2^k, and the
     # window keeps both k and n - k small, so most of the n! in L cancels
     # against comb(n, k). One gcd over the three series removes the
     # common factor before the products.
     c = gcd(den, *(v for rows in (h, s, d) for row in rows.values() for v in row))
-    return tuple(({b: [v // c for v in row] for b, row in rows.items()}, den // c)
+    return tuple(({b: [v // c for v in row] for b, row in rows.items() if any(row)}, den // c)
                  for rows in (h, s, d))
 
 
@@ -164,7 +177,11 @@ def _residuals(nx: int, gmax: int, table) -> dict[str, dict[tuple[int, int], Fra
     """The three residual series for the window (nx, gmax), each as a
     dict {(x_power, eps_power): Fraction} of its nonzero coefficients,
     headroom above the window included. Genus g enters at eps^(2g-2) and
-    up, where top < 0 past 2*nx + 6: no genus above nx + 4 is built."""
+    up, where top < 0 past 2*nx + 6: no genus above nx + 4 is built.
+    Within genus g, a term k of a_{g,n} lands at eps^(2g-2+k), x^(n-k),
+    so _expand reads n only up to K + (2*nx + 8 - 2g - K)//2, where
+    K = min(2*gmax + 3 - 2g, 2*nx + 8 - 2g) is the last k kept: 23 - 2g
+    at (12, 6), 24 - 2g at (8, 40). nx + 2*gbuild + 5 only bounds it."""
     gbuild = min(gmax, nx + 4)
 
     # Keep headroom above the window: up to four x-derivatives are

@@ -99,13 +99,16 @@ def _suite_funceq(gmax) -> list[VerifyCase]:
         # The seeded cell a(1,1) enters at eps^0, outside the window
         # b <= 2*gmax - 2, so its detection could not be checked.
         raise ValueError(f"suite 'funceq' needs gmax >= 1, got {gmax}")
-    clean = verify_functional_eqs(8, gmax)
+    nx = 8
+    clean = verify_functional_eqs(nx, gmax)
     poisoned = verify_functional_eqs(
-        8, gmax, overrides={(1, 1): Fraction(1, 11)}
+        nx, gmax, overrides={(1, 1): Fraction(1, 11)}
     )
+    # The window keeps 2a + b <= 2*nx, and genus g enters at eps^(2g-2),
+    # so no genus above nx + 1 reaches it, whatever gmax is.
     return [
         VerifyCase(
-            f"window(8,{gmax}) residuals vanish",
+            f"residuals vanish on x^0..x^{nx}, genera 0..{min(gmax, nx + 1)}",
             clean.passed,
             "" if clean.passed else f"{len(clean.failures)} nonzero",
         ),

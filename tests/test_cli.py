@@ -439,10 +439,10 @@ _PINNED = {
     }),
     "verify": (["verify", "--suite", "funceq", "--gmax", "2"], 0, {
         "plain": "2/2 entries match\n",
-        "json": '{"cases":[{"detail":"","name":"window(8,2) residuals vanish",'
+        "json": '{"cases":[{"detail":"","name":"residuals vanish on x^0..x^8, genera 0..2",'
                 '"passed":true},{"detail":"","name":"perturbed table detected",'
                 '"passed":true}],"pass":true,"suite":"funceq"}\n',
-        "csv": 'name,passed,detail\n"window(8,2) residuals vanish",true,\n'
+        "csv": 'name,passed,detail\n"residuals vanish on x^0..x^8, genera 0..2",true,\n'
                "perturbed table detected,true,\n",
     }),
     "asym": (["asym", "--n", "1", "--gmax", "12", "--order", "1", "--bits", "64"], 1, {

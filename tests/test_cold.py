@@ -86,6 +86,9 @@ TABLE = [
     # so a larger gmax prints the same bytes as 12 does.
     Cold("verify-funceq-40", (_cli("verify --suite funceq --gmax 40"),), 0,
          "389bbf2d1d9604ca446da095a375d1993e0690844703214da7f21279332470e3"),
+    # The case name states what the window examines: x^0..x^8, genera 0..9.
+    Cold("verify-funceq-40-json", (_cli("verify --suite funceq --gmax 40 --format json"),), 0,
+         "c543fec3241668a157adf0cb54e2ae60ca6e9a55d572ff8b02aea209f0a321d5"),
     Cold("verify-paths", (_cli("verify --suite paths"),), 0,
          "3635dcb9deec3edddad0b0eec8921b291c3c880116dade1e5c559d6911cc16e3"),
     Cold("verify-closed", (_cli("verify --suite closed"),), 0,

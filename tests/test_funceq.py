@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -75,6 +76,42 @@ def test_build_reads_no_genus_above_the_window(monkeypatch):
     monkeypatch.setattr(funceq, "a_direct", recording)
     verify_functional_eqs(8, 40)
     assert max(genera) == 12
+
+
+@pytest.mark.parametrize("nx, gmax, reach", [(12, 6, 23), (8, 40, 24)])
+def test_build_reads_only_cells_with_a_kept_term(monkeypatch, nx, gmax, reach):
+    # A term (g, n, k) is kept only when n - k <= top(2g - 2 + k). For these
+    # windows the highest such n is reach - 2g, and every cell below it is read.
+    cells = set()
+
+    def recording(g, n):
+        cells.add((g, n))
+        return a_direct(g, n)
+
+    monkeypatch.setattr(funceq, "a_direct", recording)
+    verify_functional_eqs(nx, gmax)
+    gbuild = min(gmax, nx + 4)
+    assert cells == {(g, n) for g in range(gbuild + 1) for n in range(reach - 2 * g + 1)}
+
+
+def _reports_digest(windows):
+    """sha256 of the reprs of each window's clean report and of two
+    seeded ones: a cell at the top genus built, and a(1, 1)."""
+    reports = []
+    for nx, gmax in windows:
+        reports.append(verify_functional_eqs(nx, gmax))
+        reports.append(verify_functional_eqs(nx, gmax, {(min(gmax, nx + 4), 1): Fraction(7, 3)}))
+        reports.append(verify_functional_eqs(nx, gmax, {(1, 1): Fraction(1, 11)}))
+    return hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("windows, digest", [
+    ([(8, 40), (8, 20), (4, 12), (12, 6), (8, 12), (3, 1), (0, 3), (2, 9), (6, 3), (12, 12)],
+     "fecc0c71620966a91da24c31f96b3a826ef2d1927754b6620ba3bf8e0be93a7a"),
+    ([(20, 21)], "dc1b7674c73a07348bf34a98c0ae7d1b9f3c281e11f70d41e9f58da21c45f714"),
+])
+def test_reports_are_pinned(windows, digest):
+    assert _reports_digest(windows) == digest
 
 
 def test_window_past_its_reach_reports_as_at_its_reach():
@@ -307,6 +344,18 @@ def test_mul_matches_dict_model(p, q, top):
     got = _mul(p, q, top)
     assert got[1] == p[1] * q[1]
     assert _as_dict(got) == _ref_mul(_as_dict(p), _as_dict(q), _cap(top))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series, _tops())
+@example(({0: [1, 1], 1: [1]}, 1), lambda b: 4)
+@example(({-2: [0, 3], 0: [2], 1: []}, 5), lambda b: 2)
+def test_square_matches_dict_model(p, top):
+    # A square takes each pair of eps-rows once; the model takes every
+    # ordered pair.
+    got = _mul(p, p, top)
+    assert got[1] == p[1] ** 2
+    assert _as_dict(got) == _ref_mul(_as_dict(p), _as_dict(p), _cap(top))
 
 
 def test_mul_truncates_exactly_at_the_cap():
